@@ -4,8 +4,13 @@
 // i in [-1, nloc] without branching. At physical radial boundaries the
 // ghost metric is mirrored; at rank interfaces it is the neighbour's true
 // metric (the grid is globally defined, so no communication is needed).
+//
+// The cell volume and face metrics the stencils need are tabulated once per
+// (i, j) at construction. Each entry keeps the exact left-to-right
+// expression of the per-cell form, so reading the table is bit-identical
+// to recomputing it (DESIGN.md "Grid metrics").
 
-#include <algorithm>
+#include <cstddef>
 #include <vector>
 
 #include "grid/spherical_grid.hpp"
@@ -16,30 +21,7 @@ namespace simas::grid {
 
 class LocalGrid {
  public:
-  LocalGrid(const SphericalGrid& g, const mpisim::Slab& slab)
-      : g_(g), slab_(slab), nloc_(slab.n()) {
-    const idx nr = g.nr();
-    rc_.resize(static_cast<std::size_t>(nloc_ + 2));
-    drc_.resize(static_cast<std::size_t>(nloc_ + 2));
-    for (idx i = -1; i <= nloc_; ++i) {
-      idx gi = slab.ilo + i;
-      if (gi < 0) gi = 0;          // mirror width at the inner boundary
-      if (gi >= nr) gi = nr - 1;   // mirror width at the outer boundary
-      rc_[static_cast<std::size_t>(i + 1)] =
-          (slab.ilo + i < 0)
-              ? 2.0 * g.r_face(0) - g.r_center(0)
-              : (slab.ilo + i >= nr ? 2.0 * g.r_face(nr) - g.r_center(nr - 1)
-                                    : g.r_center(slab.ilo + i));
-      drc_[static_cast<std::size_t>(i + 1)] = g.dr(gi);
-    }
-    rf_.resize(static_cast<std::size_t>(nloc_ + 2));
-    drf_.resize(static_cast<std::size_t>(nloc_ + 2));
-    for (idx i = 0; i <= nloc_ + 1; ++i) {
-      const idx gi = std::min<idx>(slab.ilo + i, nr);
-      rf_[static_cast<std::size_t>(i)] = g.r_face(gi);
-      drf_[static_cast<std::size_t>(i)] = g.dr_face(gi);
-    }
-  }
+  LocalGrid(const SphericalGrid& g, const mpisim::Slab& slab);
 
   const SphericalGrid& global() const { return g_; }
   const mpisim::Slab& slab() const { return slab_; }
@@ -68,7 +50,25 @@ class LocalGrid {
   real stf(idx j) const { return g_.sin_th_face(clamp_tf(j)); }
   real dph() const { return g_.dph(); }
 
+  /// ∫ r dr over cell i, i in [0, nloc].
+  real alin(idx i) const { return alin_[static_cast<std::size_t>(i)]; }
+
+  // Per-(i, j) metric tables, i in [0, nloc], j in [0, nt].
+  /// Cell volume ∫ r² sinθ dr dθ dφ.
+  real vol(idx i, idx j) const { return vol_[m(i, j)]; }
+  /// Area of the r-face at rf(i) over θ-cell j.
+  real area_r(idx i, idx j) const { return area_r_[m(i, j)]; }
+  /// Area of the θ-face at tf(j) over r-cell i.
+  real area_t(idx i, idx j) const { return area_t_[m(i, j)]; }
+  /// φ-face flux factor alin · dθ / (rc sinθ dφ) of cell (i, j).
+  real flux_p(idx i, idx j) const { return flux_p_[m(i, j)]; }
+
  private:
+  /// One (nloc+1) x (nt+1) layout for every table, i fastest.
+  std::size_t m(idx i, idx j) const {
+    return static_cast<std::size_t>(i + (nloc_ + 1) * j);
+  }
+
   idx clamp_t(idx j) const {
     if (j < 0) return 0;
     if (j >= g_.nt()) return g_.nt() - 1;
@@ -83,7 +83,8 @@ class LocalGrid {
   const SphericalGrid& g_;
   mpisim::Slab slab_;
   idx nloc_;
-  std::vector<real> rc_, drc_, rf_, drf_;
+  std::vector<real> rc_, drc_, rf_, drf_, alin_;
+  std::vector<real> vol_, area_r_, area_t_, flux_p_;
 };
 
 }  // namespace simas::grid

@@ -80,8 +80,7 @@ void MasSolver::initialize() {
       {par::in(st.ep.id()), par::out(st.br.id())},
       [&, dph](idx i, idx j, idx k) {
         const real rf = lg.rf(i);
-        const real area =
-            sq(rf) * (std::cos(lg.tf(j)) - std::cos(lg.tf(j + 1))) * dph;
+        const real area = lg.area_r(i, j);
         const real lp0 = rf * lg.stf(j) * dph;
         const real lp1 = rf * lg.stf(j + 1) * dph;
         st.br(i, j, k) =
@@ -93,8 +92,7 @@ void MasSolver::initialize() {
       {par::in(st.ep.id()), par::out(st.bt.id())},
       [&, dph](idx i, idx j, idx k) {
         const real stf = std::max<real>(lg.stf(j), 1.0e-12);
-        const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
-        const real area = alin * stf * dph;
+        const real area = lg.alin(i) * stf * dph;
         const real lp0 = lg.rf(i) * stf * dph;
         const real lp1 = lg.rf(i + 1) * stf * dph;
         st.bt(i, j, k) =

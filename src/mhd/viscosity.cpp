@@ -1,5 +1,4 @@
-#include <algorithm>
-#include <cmath>
+#include <vector>
 
 #include "mhd/ops.hpp"
 #include "solvers/pcg.hpp"
@@ -20,27 +19,25 @@ struct LapCoeffs {
   real cp = 0.0;
 };
 
-LapCoeffs lap_coeffs(const grid::LocalGrid& lg, idx i, idx j, idx nloc,
-                     idx nt) {
+// One entry per interior (i, j), i fastest; built once per viscous update.
+std::vector<LapCoeffs> lap_coeffs_table(const grid::LocalGrid& lg) {
+  const idx nloc = lg.nloc(), nt = lg.nt();
   const real dph = lg.dph();
-  const real ctj0 = std::cos(lg.tf(j)), ctj1 = std::cos(lg.tf(j + 1));
-  const real vol = (std::pow(lg.rf(i + 1), 3) - std::pow(lg.rf(i), 3)) / 3.0 *
-                   (ctj0 - ctj1) * dph;
-  const real alin = (sq(lg.rf(i + 1)) - sq(lg.rf(i))) / 2.0;
-
-  LapCoeffs cf;
-  const bool inner = lg.at_inner_boundary() && i == 0;
-  const bool outer = lg.at_outer_boundary() && i == nloc - 1;
-  if (!inner)
-    cf.cr0 = sq(lg.rf(i)) * (ctj0 - ctj1) * dph / (lg.drf(i) * vol);
-  if (!outer)
-    cf.cr1 = sq(lg.rf(i + 1)) * (ctj0 - ctj1) * dph / (lg.drf(i + 1) * vol);
-  if (j > 0)
-    cf.ct0 = alin * lg.stf(j) * dph / (lg.rc(i) * lg.dtf(j) * vol);
-  if (j < nt - 1)
-    cf.ct1 = alin * lg.stf(j + 1) * dph / (lg.rc(i) * lg.dtf(j + 1) * vol);
-  cf.cp = alin * lg.dtc(j) / (lg.rc(i) * lg.stc(j) * dph * vol);
-  return cf;
+  std::vector<LapCoeffs> tab(static_cast<std::size_t>(nloc * nt));
+  for (idx j = 0; j < nt; ++j)
+    for (idx i = 0; i < nloc; ++i) {
+      const real vol = lg.vol(i, j);
+      LapCoeffs& cf = tab[static_cast<std::size_t>(i + nloc * j)];
+      if (!(lg.at_inner_boundary() && i == 0))
+        cf.cr0 = lg.area_r(i, j) / (lg.drf(i) * vol);
+      if (!(lg.at_outer_boundary() && i == nloc - 1))
+        cf.cr1 = lg.area_r(i + 1, j) / (lg.drf(i + 1) * vol);
+      if (j > 0) cf.ct0 = lg.area_t(i, j) / (lg.rc(i) * lg.dtf(j) * vol);
+      if (j < nt - 1)
+        cf.ct1 = lg.area_t(i, j + 1) / (lg.rc(i) * lg.dtf(j + 1) * vol);
+      cf.cp = lg.alin(i) * lg.dtc(j) / (lg.rc(i) * lg.stc(j) * dph * vol);
+    }
+  return tab;
 }
 
 }  // namespace
@@ -68,11 +65,13 @@ int viscous_update(MhdContext& c, real dt) {
       SIMAS_SITE("visc_build_rhs", SiteKind::ParallelLoop, 52);
 
   solvers::Pcg pcg(c.eng, c.comm, lg, "viscosity");
+  const std::vector<LapCoeffs> coeffs = lap_coeffs_table(lg);
+  const LapCoeffs* cfs = coeffs.data();
 
   // Matvec cell body, shared by the interior and boundary-shell launches.
-  auto mv_cell = [&, dt, nu, nloc, nt](field::Field& xf, field::Field& yf,
-                                       idx i, idx j, idx k) {
-    const LapCoeffs cf = lap_coeffs(lg, i, j, nloc, nt);
+  auto mv_cell = [&, cfs, dt, nu, nloc](field::Field& xf, field::Field& yf,
+                                        idx i, idx j, idx k) {
+    const LapCoeffs& cf = cfs[i + nloc * j];
     const real xc = xf(i, j, k);
     const real lap = cf.cr1 * (xf(i + 1, j, k) - xc) -
                      cf.cr0 * (xc - xf(i - 1, j, k)) +
@@ -153,8 +152,8 @@ int viscous_update(MhdContext& c, real dt) {
       field::Field& zf = *z[comp];
       c.eng.for_each(site_pc, interior,
                      {par::in(rf.id()), par::out(zf.id())},
-                     [&, dt, nu, nloc, nt](idx i, idx j, idx k) {
-                       const LapCoeffs cf = lap_coeffs(lg, i, j, nloc, nt);
+                     [&, cfs, dt, nu, nloc](idx i, idx j, idx k) {
+                       const LapCoeffs& cf = cfs[i + nloc * j];
                        const real diag =
                            1.0 + dt * nu *
                                      (cf.cr0 + cf.cr1 + cf.ct0 + cf.ct1 +

@@ -43,7 +43,8 @@ std::shared_ptr<const bench_support::BoundaryFields> FieldCache::find(
     return nullptr;
   }
   stats_.hits++;
-  return it->second;
+  lru_.splice(lru_.begin(), lru_, it->second.lru);
+  return it->second.fields;
 }
 
 std::shared_ptr<const bench_support::BoundaryFields> FieldCache::insert(
@@ -51,12 +52,19 @@ std::shared_ptr<const bench_support::BoundaryFields> FieldCache::insert(
   auto entry = std::make_shared<const bench_support::BoundaryFields>(
       std::move(fields));
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] = map_.try_emplace(key, std::move(entry));
-  if (inserted)
-    stats_.inserts++;
-  else
+  if (const auto it = map_.find(key); it != map_.end()) {
     stats_.duplicates++;
-  return it->second;
+    return it->second.fields;
+  }
+  if (map_.size() >= kCapacity) {
+    map_.erase(lru_.back());
+    lru_.pop_back();
+    stats_.evictions++;
+  }
+  lru_.push_front(key);
+  map_.emplace(key, Entry{entry, lru_.begin()});
+  stats_.inserts++;
+  return entry;
 }
 
 std::size_t FieldCache::size() const {

@@ -7,9 +7,15 @@
 // extracts the solved field's raw per-rank bytes, subsequent jobs inject
 // them (bit-identical; the kernels then execute on byte-equal arrays).
 // Entries are immutable once published and held by shared_ptr, so a job
-// may keep reading an entry while the cache grows; publication is
-// first-wins, concurrent duplicate solves race benignly.
+// may keep reading an entry while the cache grows or evicts it;
+// publication is first-wins, concurrent duplicate solves race benignly.
+//
+// The cache holds at most kCapacity entries: each one is a full per-rank
+// copy of the face and center B fields, and a stream of fresh boundary
+// seeds would otherwise grow it without bound. Inserting past capacity
+// evicts the least-recently-used entry; a find() hit counts as a use.
 
+#include <list>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -21,11 +27,14 @@ namespace simas::service {
 
 class FieldCache {
  public:
+  static constexpr std::size_t kCapacity = 16;
+
   struct Stats {
     i64 hits = 0;
     i64 misses = 0;
     i64 inserts = 0;
     i64 duplicates = 0;  ///< inserts dropped (first publisher won)
+    i64 evictions = 0;   ///< least-recently-used entries dropped
   };
 
   /// Cache key for the boundary data an experiment config implies:
@@ -45,10 +54,14 @@ class FieldCache {
   Stats stats() const;
 
  private:
+  struct Entry {
+    std::shared_ptr<const bench_support::BoundaryFields> fields;
+    std::list<u64>::iterator lru;  ///< position in lru_
+  };
+
   mutable std::mutex mutex_;
-  std::unordered_map<u64,
-                     std::shared_ptr<const bench_support::BoundaryFields>>
-      map_;
+  std::unordered_map<u64, Entry> map_;
+  std::list<u64> lru_;  ///< keys, most recently used first
   Stats stats_;
 };
 

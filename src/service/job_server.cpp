@@ -229,6 +229,7 @@ telemetry::MetricsSnapshot JobServer::metrics() {
   registry_.counter("field_cache.hits").set(fc.hits);
   registry_.counter("field_cache.misses").set(fc.misses);
   registry_.counter("field_cache.inserts").set(fc.inserts);
+  registry_.counter("field_cache.evictions").set(fc.evictions);
   const par::GraphCache::Stats gc = graph_cache_.stats();
   registry_.counter("graph_cache.hits").set(gc.hits);
   registry_.counter("graph_cache.misses").set(gc.misses);

@@ -132,6 +132,51 @@ TEST(LocalGrid, PhysicalBoundaryGhostsMirrored) {
   EXPECT_TRUE(lg.at_outer_boundary());
 }
 
+// The LocalGrid metric tables agree with the global grid's cell volumes
+// and face areas on every slab, the outer face of each slab included, and
+// the slabs' volumes add up to the global volume.
+class LocalGridTables : public ::testing::TestWithParam<int> {};
+
+TEST_P(LocalGridTables, MatchGlobalVolumesAndAreas) {
+  GridConfig cfg;
+  cfg.nr = 11;  // uneven slabs for 2 and 3 ranks
+  cfg.nt = 7;
+  cfg.np = 8;
+  const SphericalGrid g(cfg);
+  const int nranks = GetParam();
+  const auto close = [](real a, real b) {
+    return std::abs(a - b) <= 1e-12 * std::abs(b);
+  };
+  real global_sum = 0.0, slab_sums = 0.0;
+  for (idx i = 0; i < cfg.nr; ++i)
+    for (idx j = 0; j < cfg.nt; ++j) global_sum += g.volume(i, j);
+  for (int rank = 0; rank < nranks; ++rank) {
+    const auto slab = mpisim::radial_slab(cfg.nr, nranks, rank);
+    const grid::LocalGrid lg(g, slab);
+    real sum = 0.0;
+    for (idx i = 0; i <= lg.nloc(); ++i) {
+      const idx gi = slab.ilo + i;
+      for (idx j = 0; j <= cfg.nt; ++j) {
+        if (j < cfg.nt) {
+          EXPECT_TRUE(close(lg.area_r(i, j), g.area_r(gi, j)))
+              << "rank " << rank << " area_r(" << i << ", " << j << ")";
+        }
+        if (i == lg.nloc()) continue;
+        EXPECT_TRUE(close(lg.area_t(i, j), g.area_t(gi, j)))
+            << "rank " << rank << " area_t(" << i << ", " << j << ")";
+        if (j == cfg.nt) continue;
+        EXPECT_TRUE(close(lg.vol(i, j), g.volume(gi, j)))
+            << "rank " << rank << " vol(" << i << ", " << j << ")";
+        sum += lg.vol(i, j);
+      }
+    }
+    slab_sums += sum;
+  }
+  EXPECT_TRUE(close(slab_sums, global_sum));
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, LocalGridTables, ::testing::Values(1, 2, 3));
+
 TEST(Array3, IndexingWithGhosts) {
   field::Array3 a(3, 4, 5, 2, -1.0);
   EXPECT_EQ(a.n1(), 3);

@@ -206,6 +206,27 @@ TEST(FieldCache, FirstInsertWinsAndHitsAreCounted) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+TEST(FieldCache, EvictsLeastRecentlyUsedPastCapacity) {
+  service::FieldCache cache;
+  const u64 n = service::FieldCache::kCapacity;  // keys 0 .. n-1 fill it
+  for (u64 key = 0; key < n; ++key) cache.insert(key, {});
+  const auto held = cache.find(0);  // key 0: oldest insert, but just hit
+  ASSERT_NE(held, nullptr);
+  cache.insert(n, {});  // 17th key evicts the untouched oldest, key 1
+  EXPECT_EQ(cache.size(), service::FieldCache::kCapacity);
+  EXPECT_EQ(cache.find(1), nullptr);
+  EXPECT_EQ(cache.find(0).get(), held.get());
+  EXPECT_NE(cache.find(n), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 1);
+
+  // An evicted entry stays alive for a job that still holds it.
+  const auto pinned = cache.find(2);
+  for (u64 key = n + 1; key < 3 * n; ++key) cache.insert(key, {});
+  EXPECT_EQ(cache.find(2), nullptr);
+  ASSERT_NE(pinned, nullptr);
+  EXPECT_EQ(pinned->nranks, 0);
+}
+
 // ---------------------------------------------------------------------
 // GraphCache.
 
@@ -340,6 +361,8 @@ TEST(JobServer, PrewarmMakesSameShapeJobsFieldCacheHits) {
   EXPECT_EQ(snap.counter("jobs.prewarmed"), 1);
   EXPECT_EQ(snap.counter("field_cache.hits"), 2);
   EXPECT_EQ(snap.counter("field_cache.misses"), 1);
+  ASSERT_NE(snap.find("field_cache.evictions"), nullptr);
+  EXPECT_EQ(snap.counter("field_cache.evictions"), 0);
 }
 
 TEST(JobServer, DrainWithoutStartStillServesAndIsIdempotent) {
