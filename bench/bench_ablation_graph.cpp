@@ -53,12 +53,13 @@ void ablation_for(int nranks) {
   for (const auto version : variants::gpu_versions()) {
     const GraphRun off = run_version(version, nranks, false);
     const GraphRun on = run_version(version, nranks, true);
-    const double gain =
-        100.0 * (1.0 - on.result.wall_minutes / off.result.wall_minutes);
+    const double wall_off = off.result.metrics.gauge("time.wall_minutes");
+    const double wall_on = on.result.metrics.gauge("time.wall_minutes");
+    const double gain = 100.0 * (1.0 - wall_on / wall_off);
     table.row()
         .cell(variants::version_tag(version))
-        .cell(off.result.wall_minutes, 1)
-        .cell(on.result.wall_minutes, 1)
+        .cell(wall_off, 1)
+        .cell(wall_on, 1)
         .cell(gain, 2)
         .cell(off.launch_gap_minutes, 1)
         .cell(on.launch_gap_minutes, 1)

@@ -28,7 +28,8 @@ double um_over_manual(double fault_latency_us, double staging_mult,
     cfg.nranks = nranks;
     cfg.device = device;
     cfg.grid = bench_support::bench_grid();
-    t[i++] = bench_support::run_experiment(cfg).wall_minutes;
+    t[i++] =
+        bench_support::run_experiment(cfg).metrics.gauge("time.wall_minutes");
   }
   return t[1] / t[0];
 }

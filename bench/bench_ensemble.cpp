@@ -94,7 +94,7 @@ struct ShapeReference {
 PhysicsRef fingerprint(const ExperimentResult& r) {
   PhysicsRef ref;
   ref.diag = r.final_diag;
-  ref.wall_minutes = r.wall_minutes;
+  ref.wall_minutes = r.metrics.gauge("time.wall_minutes");
   for (const auto& rank : r.ranks)
     ref.seconds_per_step.push_back(rank.seconds_per_step);
   return ref;
@@ -126,7 +126,7 @@ bool matches_reference(const ExperimentResult& r, const PhysicsRef& ref,
     why = "diagnostics differ";
     return false;
   }
-  if (r.wall_minutes != ref.wall_minutes) {
+  if (r.metrics.gauge("time.wall_minutes") != ref.wall_minutes) {
     why = "modeled wall_minutes differ";
     return false;
   }

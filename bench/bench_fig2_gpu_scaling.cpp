@@ -36,7 +36,7 @@ int main() {
       double avg = 0.0, lo = 1e300, hi = -1e300;
       for (int sample = 0; sample < 3; ++sample) {
         const double m = bench_support::jitter_minutes(
-            res.wall_minutes, 0.015,
+            res.metrics.gauge("time.wall_minutes"), 0.015,
             static_cast<u64>(version) * 100 + nranks, sample);
         avg += m / 3.0;
         lo = std::min(lo, m);
@@ -45,7 +45,7 @@ int main() {
       row.push_back(format_fixed(avg, 1) + " [" + format_fixed(lo, 1) + "," +
                     format_fixed(hi, 1) + "]");
       if (version == variants::CodeVersion::A && nranks == 1)
-        ideal_base = res.wall_minutes;
+        ideal_base = res.metrics.gauge("time.wall_minutes");
     }
     table.add_row(row);
   }

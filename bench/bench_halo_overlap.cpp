@@ -66,12 +66,12 @@ Point measure(variants::CodeVersion version, int nranks, int steps,
     cfg.um_hints = um_hints;
     const auto res = run_experiment(cfg);
     if (overlap) {
-      p.wall_overlap = res.wall_minutes;
-      p.mpi_overlap = res.mpi_minutes;
-      p.hidden = res.hidden_mpi_minutes;
+      p.wall_overlap = res.metrics.gauge("time.wall_minutes");
+      p.mpi_overlap = res.metrics.gauge("mpi.exposed_minutes");
+      p.hidden = res.metrics.gauge("mpi.hidden_minutes");
     } else {
-      p.wall_sync = res.wall_minutes;
-      p.mpi_sync = res.mpi_minutes;
+      p.wall_sync = res.metrics.gauge("time.wall_minutes");
+      p.mpi_sync = res.metrics.gauge("mpi.exposed_minutes");
       p.launches = res.metrics.counter("engine.launches");
       p.bytes = res.metrics.counter("engine.bytes_touched");
     }

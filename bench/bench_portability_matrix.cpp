@@ -65,8 +65,8 @@ Cell measure(variants::CodeVersion version, gpusim::DeviceClass device,
   c.version = variants::version_tag(version);
   c.device = gpusim::device_class_name(device);
   c.personality = par::personality_tag(personality);
-  c.wall = res.wall_minutes;
-  c.mpi = res.mpi_minutes;
+  c.wall = res.metrics.gauge("time.wall_minutes");
+  c.mpi = res.metrics.gauge("mpi.exposed_minutes");
   c.diag = res.final_diag;
   return c;
 }

@@ -102,8 +102,8 @@ int main(int argc, char** argv) {
       ecfg.nranks = 1;
       ecfg.grid = bench_support::bench_grid();
       const auto res = bench_support::run_experiment(ecfg);
-      v.set("wall_minutes", res.wall_minutes);
-      v.set("mpi_minutes", res.mpi_minutes);
+      v.set("wall_minutes", res.metrics.gauge("time.wall_minutes"));
+      v.set("mpi_minutes", res.metrics.gauge("mpi.exposed_minutes"));
       v.set("kernel_launches", res.metrics.counter("engine.launches"));
       v.set("fused_launches", res.metrics.counter("engine.fused_launches"));
       v.set("bytes_touched", res.metrics.counter("engine.bytes_touched"));

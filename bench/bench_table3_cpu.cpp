@@ -34,7 +34,7 @@ int main() {
       cfg.nranks = r.nodes;
       cfg.device = gpusim::epyc7742_node();
       cfg.grid = bench_support::bench_grid();
-      t[idx++] = run_experiment(cfg).wall_minutes;
+      t[idx++] = run_experiment(cfg).metrics.gauge("time.wall_minutes");
     }
     table.row()
         .cell(r.nodes)

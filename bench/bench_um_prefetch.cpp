@@ -71,9 +71,9 @@ Point measure(variants::CodeVersion version, int nranks, int steps,
   p.version = variants::version_tag(version);
   p.um_hints = um_hints;
   p.nranks = nranks;
-  p.wall = res.wall_minutes;
-  p.mpi = res.mpi_minutes;
-  p.hidden = res.hidden_mpi_minutes;
+  p.wall = res.metrics.gauge("time.wall_minutes");
+  p.mpi = res.metrics.gauge("mpi.exposed_minutes");
+  p.hidden = res.metrics.gauge("mpi.hidden_minutes");
   p.faults = res.metrics.counter("um.faults");
   p.migrations = res.metrics.counter("um.migrations");
   p.prefetches = res.metrics.counter("um.prefetches");

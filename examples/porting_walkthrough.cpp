@@ -56,9 +56,15 @@ int main() {
       cfg.version = v;
       cfg.nranks = 1;
       cfg.grid = bench_support::bench_grid();
-      t1 = format_fixed(bench_support::run_experiment(cfg).wall_minutes, 1);
+      const auto wall = [&cfg] {
+        return format_fixed(
+            bench_support::run_experiment(cfg).metrics.gauge(
+                "time.wall_minutes"),
+            1);
+      };
+      t1 = wall();
       cfg.nranks = 8;
-      t8 = format_fixed(bench_support::run_experiment(cfg).wall_minutes, 1);
+      t8 = wall();
     }
     table.row()
         .cell(std::string(variants::version_tag(v)))

@@ -55,6 +55,21 @@ Severity check_severity(Check c) {
   return Severity::Error;
 }
 
+bool op_level(Check c) {
+  switch (c) {
+    case Check::StaleDeviceRead:
+    case Check::StaleHostRead:
+    case Check::DiscardedDeviceWrites:
+    case Check::KernelOutsideRegion:
+    case Check::UnbalancedDataRegion:
+    case Check::AsyncReductionNoWait:
+    case Check::AsyncHostAccessNoSync:
+      return true;
+    default:
+      return false;
+  }
+}
+
 std::string Diagnostic::to_string() const {
   std::ostringstream ss;
   ss << severity_name(severity) << ": [" << check_name(check) << "] site '"

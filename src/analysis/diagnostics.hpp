@@ -4,10 +4,11 @@
 // Each Check is one of the silent porting hazards cataloged in the paper's
 // Sec. IV: stale host/device copies under manual data management, missing
 // or superfluous data clauses, loops that are not legal `do concurrent`,
-// and reduction results consumed before a device wait. The validator
-// (analysis/validator.hpp) emits one Diagnostic per (check, site, array)
-// combination with an occurrence count, so a bug that fires every step
-// does not flood the report.
+// and reduction results consumed before a device wait. The stream checker
+// (analysis/static_verifier.hpp) and the shadow validator
+// (analysis/validator.hpp) each emit one Diagnostic per (check, site,
+// array) combination with an occurrence count, so a bug that fires every
+// step does not flood the report.
 
 #include <string>
 #include <vector>
@@ -58,6 +59,11 @@ enum class Check {
 
 const char* check_name(Check c);
 Severity check_severity(Check c);
+/// The checks a StreamChecker decides exactly from the op stream alone:
+/// the Manual-mode coherence machine and the async queue. Its other
+/// findings trust declared spans and write patterns; a validating engine
+/// reports those checks from shadow element tags instead (DESIGN.md §15).
+bool op_level(Check c);
 
 /// One finding. `site` is the kernel-site name (or the data-API entry
 /// point for memory events); `array` the offending array's registered

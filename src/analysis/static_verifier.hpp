@@ -1,12 +1,10 @@
 #pragma once
-// Static kernel-stream analyzer: ahead-of-run race/coherence verification.
+// The stream checker: op-level race/coherence verification over the
+// ordered event stream (par::OpEvent), fed either live by a validating
+// Engine or by replaying a StreamCapture (verify_stream).
 //
-// Where the runtime validator (analysis/validator.hpp) shadows every
-// element access — O(cells x steps) — this pass replays a captured event
-// trace (analysis/stream_capture.hpp) through a happens-before dataflow
-// analysis over the *declared* Access lists: O(stream size), zero kernels
-// executed. It constructs the same op-level machinery the runtime
-// validator maintains — ACC fusion chains, the single async queue, the
+// The checker keeps, in this one place, the op-level machinery every
+// analysis needs — ACC fusion chains, the single async queue, the
 // Manual-mode coherence state machine, halo begin/finish windows — and
 // derives element-level conclusions from the declared radial spans and
 // write patterns (par::Span / Access::scatter) instead of observed
@@ -21,21 +19,23 @@
 //     covers a radial ghost column posted by an unfinished overlapped
 //     exchange (InflightGhostRead);
 //   * host pulls without sync, async reductions, and the full Manual-mode
-//     coherence machine — op-level checks mirrored from the runtime
-//     validator verbatim.
+//     coherence machine — exact from the op stream alone (op_level()).
 //
-// The division of labor is: the static pass TRUSTS declarations and flags
-// conservatively; the runtime validator VERIFIES declarations element-
-// exactly. On honestly-declared streams the static findings are a
+// The division of labor is: the checker TRUSTS declarations and flags
+// conservatively; the shadow Validator (analysis/validator.hpp) VERIFIES
+// declarations element-exactly, reading its chain positions from a live
+// checker. On honestly-declared streams the static findings are a
 // superset of the runtime findings (the differential harness in
 // tests/test_static_verifier.cpp pins this); a lying declaration slips
-// past the static pass but is caught the first time the stream actually
+// past the checker but is caught the first time the stream actually
 // runs. Checks that need observed touches (UndeclaredAccess,
-// DeclaredWriteNotTouched) remain runtime-only — see the check matrix in
+// DeclaredWriteNotTouched) are shadow-only — see the check matrix in
 // DESIGN.md §15.
-//
-// A clean static report over a captured stream is what a verified-stream
-// certificate (par/graph_cache.hpp) attests.
+
+#include <functional>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "analysis/diagnostics.hpp"
 #include "analysis/stream_capture.hpp"
@@ -43,11 +43,11 @@
 
 namespace simas::analysis {
 
-/// The model facts the static pass resolves from an engine configuration
-/// (the facts the runtime validator snapshots, folded with the compiler
-/// personality's lowering: a toolchain that never fuses cannot have
-/// fused-chain races, and a toolchain that ignores a hint class turns
-/// that class's correctness findings into notes).
+/// The model facts the checker resolves from an engine configuration,
+/// folded with the compiler personality's lowering: a toolchain that never
+/// fuses cannot have fused-chain races, one that never launches async has
+/// no async queue, and one that ignores a hint class turns that class's
+/// correctness findings into notes.
 struct StaticModel {
   par::LoopModel loops = par::LoopModel::Acc;
   gpusim::MemoryMode memory = gpusim::MemoryMode::Manual;
@@ -75,8 +75,88 @@ struct StaticModel {
   }
 };
 
-/// Run the static pass over a captured trace. Pure function of its
-/// arguments: no kernel executes, no engine state is touched.
+class StreamChecker final : public par::OpObserver {
+ public:
+  /// Resolves an array's registered name the first time the stream
+  /// mentions it.
+  using NameFn = std::function<std::string(gpusim::ArrayId)>;
+
+  StreamChecker(const StaticModel& model, NameFn names);
+
+  void on_event(const par::OpEvent& ev) override;
+  /// Drain the findings so far (ops_checked counts every op seen).
+  ValidationReport report();
+
+  // ---- Chain position of the last op, for shadow element tags ----
+  /// Fusion chain of the last op: one id per ACC chain (or per kernel
+  /// when the model cannot fuse), bumped by every chain break.
+  u64 chain_id() const { return chain_id_; }
+  /// Position of the last kernel within its chain.
+  u64 op_slot() const { return op_slot_; }
+  /// Ops seen so far (1-based index of the last one).
+  i64 ops() const { return op_index_; }
+  /// `id` is pure-written by a kernel of the open chain.
+  bool chain_wrote(gpusim::ArrayId id) const;
+
+ private:
+  struct ArrState {
+    std::string name;
+    bool on_device = false;
+    bool host_dirty = false;
+    bool device_dirty = false;
+    bool pending_async = false;
+    bool inflight = false;
+    bool inflight_lo = false;
+    bool inflight_hi = false;
+    // -- Unified-memory hint state (Unified mode only) --
+    bool preferred_host = false;   ///< advised AdvisePreferredHost
+    bool prefetch_pending = false; ///< device prefetch not yet consumed
+    par::Span prefetch_span = par::Span::Full;
+    bool paged_to_host = false;    ///< last residency hint was host-ward
+  };
+
+  /// An array pure-written by an earlier kernel of the open fusion chain.
+  struct ChainWrite {
+    gpusim::ArrayId id;
+    par::Span span;
+  };
+
+  ArrState& state_for(gpusim::ArrayId id);
+  void reset_chain();
+  void drain_async_queue();
+  /// `where` supplies the file:line provenance; `demoted` drops the
+  /// finding to an Info note (the modeled toolchain ignores the hint
+  /// class, so the hazard cannot cost anything under this personality).
+  void diagnose(Check check, const std::string& site,
+                const std::string& array, const char* message,
+                const par::KernelSite* where = nullptr,
+                bool demoted = false);
+  void on_op(const par::StreamOp& op);
+  void on_mem_hint(const par::MemHintOp& mh);
+  void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id);
+
+  NameFn names_;
+  bool manual_gpu_ = false;
+  bool unified_gpu_ = false;
+  bool acc_async_ = false;
+  bool acc_fusion_ = false;
+  bool honors_prefetch_ = true;
+  bool honors_advise_ = true;
+
+  std::unordered_map<gpusim::ArrayId, ArrState> arrays_;
+  int last_group_ = 0;
+  u64 chain_id_ = 1;
+  u64 op_slot_ = 0;
+  std::vector<ChainWrite> chain_written_;
+  i64 op_index_ = 0;
+
+  std::unordered_map<std::string, std::size_t> diag_index_;
+  std::vector<Diagnostic> diagnostics_;
+};
+
+/// Replay a captured trace into a fresh checker and return its report.
+/// Pure function of its arguments: no kernel executes, no engine state is
+/// touched.
 ValidationReport verify_stream(const StreamCapture& capture,
                                const StaticModel& model);
 

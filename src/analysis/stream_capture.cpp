@@ -2,44 +2,33 @@
 
 namespace simas::analysis {
 
-void StreamCapture::on_op(const par::StreamOp& op) {
+void StreamCapture::on_event(const par::OpEvent& ev) {
+  if (ev.kind != par::OpEvent::Kind::Op) {
+    remember_name(ev.id);
+    events_.emplace_back(ev);
+    return;
+  }
+  const par::StreamOp& op = *ev.op;
   // Copy via the concrete alternative, like CapturedGraph::append: GCC's
   // -Wmaybe-uninitialized false-fires on inactive variant alternatives.
   std::visit([this](const auto& o) { events_.emplace_back(par::StreamOp{o}); },
              op);
-  ++ops_;
-  hash_ = par::hash_op_signature(hash_, op);
-  if (const par::KernelSite* site = par::op_site(op); site != nullptr) {
-    const auto* ko = std::visit(
-        [](const auto& o) -> const par::KernelOp* {
-          if constexpr (std::is_base_of_v<par::KernelOp,
-                                          std::decay_t<decltype(o)>>)
-            return &o;
-          else
-            return nullptr;
-        },
-        op);
-    if (ko != nullptr)
-      for (const par::Access& a : ko->accesses) remember_name(a.id);
-  }
+  if (const par::KernelOp* ko = par::kernel_op(op))
+    for (const par::Access& a : ko->accesses) remember_name(a.id);
   if (const auto* mh = std::get_if<par::MemHintOp>(&op))
     remember_name(mh->id);
 }
 
-void StreamCapture::on_halo_begin(gpusim::ArrayId id, bool lo_inflight,
-                                  bool hi_inflight) {
-  remember_name(id);
-  events_.emplace_back(HaloBeginRec{id, lo_inflight, hi_inflight});
-}
-
-void StreamCapture::on_halo_end(gpusim::ArrayId id) {
-  events_.emplace_back(HaloEndRec{id});
-}
-
-void StreamCapture::on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) {
-  remember_name(id);
-  events_.emplace_back(DataEventRec{ev, id});
-  if (next_ != nullptr) next_->on_data_event(ev, id);
+void StreamCapture::replay(par::OpObserver& obs) const {
+  for (const StreamEvent& ev : events_) {
+    if (const auto* op = std::get_if<par::StreamOp>(&ev)) {
+      par::OpEvent e;
+      e.op = op;
+      obs.on_event(e);
+    } else {
+      obs.on_event(std::get<par::OpEvent>(ev));
+    }
+  }
 }
 
 const std::string& StreamCapture::array_name(gpusim::ArrayId id) const {

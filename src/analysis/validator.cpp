@@ -1,7 +1,8 @@
 #include "analysis/validator.hpp"
 
-#include <algorithm>
 #include <utility>
+
+#include "analysis/static_verifier.hpp"
 
 namespace simas::analysis {
 
@@ -13,13 +14,6 @@ namespace {
 // loop iterations within a kernel.
 constexpr u64 chain_of(u64 tag) { return tag >> 40; }
 constexpr u64 slot_of(u64 tag) { return (tag >> 32) & 0xffu; }
-
-const par::KernelOp* kernel_payload(const par::StreamOp& op) {
-  if (const auto* l = std::get_if<par::LaunchOp>(&op)) return l;
-  if (const auto* r = std::get_if<par::ReduceOp>(&op)) return r;
-  if (const auto* a = std::get_if<par::ArrayReduceOp>(&op)) return a;
-  return nullptr;
-}
 
 }  // namespace
 
@@ -57,32 +51,17 @@ void ShadowSlot::note_inflight(std::size_t off) {
   owner_->report_inflight(*this);
 }
 
-Validator::Validator(const par::EngineConfig& cfg, gpusim::MemoryManager& mem)
-    : cfg_(cfg), mem_(mem) {
-  manual_gpu_ = cfg_.memory == gpusim::MemoryMode::Manual && cfg_.gpu;
-  acc_async_ =
-      cfg_.loops == par::LoopModel::Acc && cfg_.async_enabled && cfg_.gpu;
-  acc_fusion_ =
-      cfg_.loops == par::LoopModel::Acc && cfg_.fusion_enabled && cfg_.gpu;
-}
+Validator::Validator(const StreamChecker& chain,
+                     const gpusim::MemoryManager& mem)
+    : chain_(chain), mem_(mem) {}
 
 Validator::~Validator() = default;
 
-Validator::ArrayState& Validator::state_for(gpusim::ArrayId id) {
-  auto it = arrays_.find(id);
-  if (it == arrays_.end()) {
-    ArrayState st;
-    st.name = mem_.record(id).name;
-    it = arrays_.emplace(id, std::move(st)).first;
-  }
-  return it->second;
-}
-
-void Validator::diagnose(Check check, const std::string& site,
-                         const std::string& array, std::string message,
-                         std::string location) {
+void Validator::diagnose(Check check, const std::string& array,
+                         const char* message, bool with_location) {
   std::lock_guard<std::mutex> lock(diag_mutex_);
-  std::string key = std::string(check_name(check)) + '|' + site + '|' + array;
+  std::string key =
+      std::string(check_name(check)) + '|' + current_site_ + '|' + array;
   const auto it = diag_index_.find(key);
   if (it != diag_index_.end()) {
     diagnostics_[it->second].count++;
@@ -91,110 +70,49 @@ void Validator::diagnose(Check check, const std::string& site,
   Diagnostic d;
   d.check = check;
   d.severity = check_severity(check);
-  d.site = site;
+  d.site = current_site_;
   d.array = array;
-  d.location = std::move(location);
-  d.op_index = op_index_;
-  d.message = std::move(message);
+  if (with_location) d.location = current_location_;
+  d.op_index = chain_.ops();
+  d.message = message;
   diag_index_.emplace(std::move(key), diagnostics_.size());
   diagnostics_.push_back(std::move(d));
 }
 
-void Validator::drain_async_queue() {
-  for (auto& [id, st] : arrays_) st.pending_async = false;
-}
-
-void Validator::on_op(const par::StreamOp& op) {
-  ++op_index_;
-  const par::OpKind kind = par::op_kind(op);
-
-  if (kind == par::OpKind::MemHint) {
-    // Driver residency hint: no kernel body follows, no fusion effect, no
-    // coherence transition. Hint-correctness rules (wrong-span prefetch,
-    // use-after-evict) are span-level reasoning and live in the static
-    // verifier; the runtime pass just counts the op.
-    return;
-  }
-
-  if (kind == par::OpKind::Sync || kind == par::OpKind::FusionBreak) {
-    // Both drain the single async queue: SyncOp is an explicit wait; every
-    // modeled MPI entry point emits a FusionBreakOp and captures its
-    // payload synchronously (see header comment).
-    drain_async_queue();
-    last_group_ = 0;
-    ++chain_id_;
-    op_slot_ = 0;
-    chain_written_.clear();
-    pending_.valid = false;
-    return;
-  }
-
-  const par::KernelOp& ko = *kernel_payload(op);
-
-  // Fusion-chain bookkeeping, mirroring AccScheduler::fuse_with_previous.
-  if (kind == par::OpKind::Launch) {
-    const bool fused = acc_fusion_ && ko.site->fusion_group != 0 &&
-                       ko.site->fusion_group == last_group_ &&
-                       op_slot_ < 255;
-    last_group_ = ko.site->fusion_group;
-    if (fused) {
-      ++op_slot_;
-    } else {
-      ++chain_id_;
-      op_slot_ = 0;
-      chain_written_.clear();
-    }
-  } else {
-    // Reductions are synchronous under every model: they end the fusion
-    // chain and drain the async queue before the host reads the result.
-    last_group_ = 0;
-    ++chain_id_;
-    op_slot_ = 0;
-    chain_written_.clear();
-    if (acc_async_ && ko.site->async_capable) {
-      diagnose(Check::AsyncReductionNoWait, ko.site->name, {},
-               "reduction result is consumed on the host immediately, but "
-               "the site is declared async-capable: under async launches "
-               "the host would read the result before the kernel finished; "
-               "mark the site async_capable=false or device_sync first",
-               ko.site->location());
-    }
-    drain_async_queue();
-  }
-
-  // Coherence checker (Manual memory mode, device execution).
-  if (manual_gpu_) {
-    const bool launch_async = kind == par::OpKind::Launch && acc_async_ &&
-                              ko.site->async_capable;
-    for (const par::Access& a : ko.accesses) {
-      ArrayState& st = state_for(a.id);
-      if (!st.on_device) {
-        diagnose(Check::KernelOutsideRegion, ko.site->name, st.name,
-                 "kernel accesses an array outside any data region: the "
-                 "compiler would add an implicit per-kernel copy (correct "
-                 "but slow) — wrap it in enter_data/exit_data",
-                 ko.site->location());
-        continue;
+void Validator::on_event(const par::OpEvent& ev) {
+  switch (ev.kind) {
+    case par::OpEvent::Kind::Op:
+      // Remember the kernel op whose body executes next; any other op
+      // clears it.
+      if (const par::KernelOp* ko = par::kernel_op(*ev.op)) {
+        pending_.site = ko->site;
+        pending_.kind = par::op_kind(*ev.op);
+        pending_.cells = ko->cells;
+        pending_.accesses = ko->accesses;
+        pending_.valid = true;
+      } else if (par::op_kind(*ev.op) != par::OpKind::MemHint) {
+        pending_.valid = false;
       }
-      if (a.write) {
-        st.device_dirty = true;
-        if (launch_async) st.pending_async = true;
-      } else if (st.host_dirty) {
-        diagnose(Check::StaleDeviceRead, ko.site->name, st.name,
-                 "device kernel reads an array whose host copy was "
-                 "modified after the last update_device: the device sees "
-                 "stale data",
-                 ko.site->location());
-      }
+      break;
+    case par::OpEvent::Kind::HaloBegin: {
+      const auto it = arrays_.find(ev.id);
+      if (it == arrays_.end() || !it->second.slot) break;
+      ShadowSlot& s = *it->second.slot;
+      s.inflight_stride_ = ev.radial_stride;
+      s.inflight_lo_ = ev.lo_column;
+      s.inflight_hi_ = ev.hi_column;
+      s.inflight_.store(true, std::memory_order_release);
+      break;
     }
+    case par::OpEvent::Kind::HaloEnd: {
+      const auto it = arrays_.find(ev.id);
+      if (it != arrays_.end() && it->second.slot)
+        it->second.slot->inflight_.store(false, std::memory_order_release);
+      break;
+    }
+    case par::OpEvent::Kind::Data:
+      break;
   }
-
-  // Remember the op whose body executes next (access-list verification).
-  pending_.site = ko.site;
-  pending_.kind = kind;
-  pending_.cells = ko.cells;
-  pending_.accesses = ko.accesses;
-  pending_.valid = true;
 }
 
 void Validator::body_begin() {
@@ -209,8 +127,8 @@ void Validator::body_begin() {
   ++window_seq_;
   current_site_ = pending_.site->name;
   current_location_ = pending_.site->location();
-  const u64 chain_tag =
-      ((chain_id_ & 0xffffffu) << 40) | ((op_slot_ & 0xffu) << 32);
+  const u64 chain_tag = ((chain_.chain_id() & 0xffffffu) << 40) |
+                        ((chain_.op_slot() & 0xffu) << 32);
   for (auto& [id, st] : arrays_) {
     if (!st.slot) continue;
     ShadowSlot& s = *st.slot;
@@ -232,9 +150,7 @@ void Validator::body_begin() {
       // written by two iterations, and no other kernel of the same fused
       // launch may touch the same element.
       m = ShadowSlot::Mode::WriteTrack;
-    } else if (declared_r && !declared_w &&
-               std::find(chain_written_.begin(), chain_written_.end(), id) !=
-                   chain_written_.end()) {
+    } else if (declared_r && !declared_w && chain_.chain_wrote(id)) {
       // Pure read of an array written earlier in this fusion chain: fusing
       // the kernels makes element overlap a read-after-write race.
       m = ShadowSlot::Mode::ReadCheck;
@@ -258,31 +174,25 @@ void Validator::body_end() {
   for (auto& [id, st] : arrays_) {
     if (!st.slot) continue;
     ShadowSlot& s = *st.slot;
-    const ShadowSlot::Mode mode =
-        s.mode_.load(std::memory_order_relaxed);
     s.mode_.store(ShadowSlot::Mode::Idle, std::memory_order_relaxed);
     const bool touched = s.touched_.load(std::memory_order_relaxed);
     bool declared_r = false, declared_w = false;
     for (const par::Access& a : pending_.accesses)
       if (a.id == id) (a.write ? declared_w : declared_r) = true;
     if (touched && !declared_r && !declared_w) {
-      diagnose(Check::UndeclaredAccess, current_site_, st.name,
+      diagnose(Check::UndeclaredAccess, st.name,
                "kernel body touched an array missing from its Access "
                "list: a `default(present)` region would fault and the "
                "traffic model undercounts (the Sec. IV missing-data-"
-               "clause bug)");
+               "clause bug)",
+               /*with_location=*/false);
     }
     if (!touched && declared_w) {
-      diagnose(Check::DeclaredWriteNotTouched, current_site_, st.name,
+      diagnose(Check::DeclaredWriteNotTouched, st.name,
                "declared write was never touched by the body: the copy "
                "clause and the cost model charge traffic that does not "
-               "exist");
-    }
-    if (touched && mode == ShadowSlot::Mode::WriteTrack &&
-        pending_.kind == par::OpKind::Launch &&
-        std::find(chain_written_.begin(), chain_written_.end(), id) ==
-            chain_written_.end()) {
-      chain_written_.push_back(id);
+               "exist",
+               /*with_location=*/false);
     }
   }
   armed_ = false;
@@ -295,17 +205,17 @@ void Validator::report_conflict(const ShadowSlot& slot, u64 prev_tag,
   const auto it = arrays_.find(slot.array_id_);
   if (it != arrays_.end()) array = it->second.name;
   if (slot_of(prev_tag) == slot_of(new_tag)) {
-    diagnose(Check::DuplicateWrite, current_site_, array,
+    diagnose(Check::DuplicateWrite, array,
              "two iterations of one parallel loop wrote the same element: "
              "the loop is not legal `do concurrent` (unordered iterations "
              "race on the element)",
-             current_location_);
+             /*with_location=*/true);
   } else {
-    diagnose(Check::FusedConflict, current_site_, array,
+    diagnose(Check::FusedConflict, array,
              "element written by an earlier kernel of the same ACC fusion "
              "group is touched again by this kernel: fusing them into one "
              "launch introduces a race",
-             current_location_);
+             /*with_location=*/true);
   }
 }
 
@@ -313,35 +223,18 @@ void Validator::report_inflight(const ShadowSlot& slot) {
   std::string array;
   const auto it = arrays_.find(slot.array_id_);
   if (it != arrays_.end()) array = it->second.name;
-  diagnose(Check::InflightGhostRead, current_site_, array,
+  diagnose(Check::InflightGhostRead, array,
            "kernel touches a radial ghost plane whose nonblocking halo "
            "exchange is still in flight: the unpack has not run, so the "
            "value read races with the unfinished recv — finish the "
            "exchange first, or restrict the kernel to the interior",
-           current_location_);
-}
-
-void Validator::begin_inflight_recv(gpusim::ArrayId id,
-                                    std::size_t radial_stride, int lo_column,
-                                    int hi_column) {
-  ArrayState& st = state_for(id);
-  if (!st.slot) return;
-  ShadowSlot& s = *st.slot;
-  s.inflight_stride_ = radial_stride;
-  s.inflight_lo_ = lo_column;
-  s.inflight_hi_ = hi_column;
-  s.inflight_.store(true, std::memory_order_release);
-}
-
-void Validator::end_inflight_recv(gpusim::ArrayId id) {
-  const auto it = arrays_.find(id);
-  if (it == arrays_.end() || !it->second.slot) return;
-  it->second.slot->inflight_.store(false, std::memory_order_release);
+           /*with_location=*/true);
 }
 
 ShadowSlot* Validator::attach_shadow(gpusim::ArrayId id,
                                      std::size_t elements) {
-  ArrayState& st = state_for(id);
+  ArrayState& st = arrays_[id];
+  st.name = mem_.record(id).name;
   st.elements = elements;
   st.slot = std::make_unique<ShadowSlot>();
   st.slot->owner_ = this;
@@ -356,118 +249,11 @@ void Validator::detach_shadow(gpusim::ArrayId id) {
   it->second.tags.reset();
 }
 
-void Validator::on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) {
-  using gpusim::DataEvent;
-  ArrayState& st = state_for(id);
-  switch (ev) {
-    case DataEvent::EnterData:
-      st.on_device = true;
-      st.host_dirty = false;
-      st.device_dirty = false;
-      break;
-    case DataEvent::RedundantEnter:
-      diagnose(Check::UnbalancedDataRegion, "enter_data", st.name,
-               "enter_data on an array already inside a data region "
-               "(unbalanced enter/exit pairs)");
-      break;
-    case DataEvent::ExitCopyOut:
-      if (st.pending_async) {
-        diagnose(Check::AsyncHostAccessNoSync, "exit_data", st.name,
-                 "exit_data copies the array back while async device "
-                 "writes are still in flight: device_sync first");
-      }
-      st.on_device = false;
-      st.host_dirty = false;
-      st.device_dirty = false;
-      st.pending_async = false;
-      break;
-    case DataEvent::ExitDelete:
-      if (st.device_dirty) {
-        diagnose(Check::DiscardedDeviceWrites, "exit_data", st.name,
-                 "exit_data(Delete) discards device writes that were "
-                 "never copied back to the host");
-      }
-      st.on_device = false;
-      st.device_dirty = false;
-      st.pending_async = false;
-      break;
-    case DataEvent::ExitOutsideRegion:
-      diagnose(Check::UnbalancedDataRegion, "exit_data", st.name,
-               "exit_data without a matching enter_data (double exit?)");
-      break;
-    case DataEvent::UpdateDevice:
-      st.host_dirty = false;
-      break;
-    case DataEvent::UpdateDeviceOutsideRegion:
-      diagnose(Check::UnbalancedDataRegion, "update_device", st.name,
-               "update_device outside a data region: the array is not "
-               "present on the device");
-      break;
-    case DataEvent::UpdateHost:
-      if (st.pending_async) {
-        diagnose(Check::AsyncHostAccessNoSync, "update_host", st.name,
-                 "update_host pulls data while async device writes are "
-                 "still in flight on the queue: device_sync first (the "
-                 "Sec. IV reduction/IO-before-wait bug)");
-        st.pending_async = false;
-      }
-      st.device_dirty = false;
-      break;
-    case DataEvent::UpdateHostOutsideRegion:
-      diagnose(Check::UnbalancedDataRegion, "update_host", st.name,
-               "update_host outside a data region: the array is not "
-               "present on the device");
-      break;
-    case DataEvent::UnregisterInRegion:
-      if (st.device_dirty) {
-        diagnose(Check::DiscardedDeviceWrites, "unregister_array", st.name,
-                 "array storage freed while its device copy held writes "
-                 "never copied back to the host");
-      }
-      diagnose(Check::UnbalancedDataRegion, "unregister_array", st.name,
-               "array storage freed while still device-resident: the data "
-               "region was never exited (implicit release)");
-      st.on_device = false;
-      st.device_dirty = false;
-      st.pending_async = false;
-      break;
-    case DataEvent::HostRead:
-      if (st.on_device && st.device_dirty) {
-        diagnose(Check::StaleHostRead, "host-read", st.name,
-                 "host-side code reads an array whose device copy was "
-                 "modified after the last update_host: the host sees "
-                 "stale data");
-      }
-      break;
-    case DataEvent::HostWrite:
-      if (st.on_device) st.host_dirty = true;
-      break;
-    case DataEvent::DeviceRead:
-      if (st.on_device && st.host_dirty) {
-        diagnose(Check::StaleDeviceRead, "device-read", st.name,
-                 "device-side transfer reads an array whose host copy was "
-                 "modified after the last update_device");
-      }
-      break;
-    case DataEvent::DeviceWrite:
-      if (st.on_device) st.device_dirty = true;
-      break;
-  }
-}
-
-ValidationReport Validator::report() const {
-  std::lock_guard<std::mutex> lock(diag_mutex_);
-  ValidationReport r;
-  r.diagnostics = diagnostics_;
-  r.ops_checked = op_index_;
-  return r;
-}
-
 ValidationReport Validator::take() {
   std::lock_guard<std::mutex> lock(diag_mutex_);
   ValidationReport r;
   r.diagnostics = std::move(diagnostics_);
-  r.ops_checked = op_index_;
+  r.ops_checked = chain_.ops();
   diagnostics_.clear();
   diag_index_.clear();
   return r;

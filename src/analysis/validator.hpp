@@ -1,36 +1,27 @@
 #pragma once
-// Kernel-stream validator ("simas-lint"): run-time detection of the
-// paper's Sec. IV porting hazards over the live op stream.
+// Shadow validator: the element-exact half of kernel-stream validation
+// ("simas-lint"), run alongside a live StreamChecker.
 //
 // The Engine owns one Validator when EngineConfig::validate is on (or the
-// SIMAS_VALIDATE environment variable is set) and feeds it:
-//   * every IR op, via on_op() — before the scheduler consumes it;
+// SIMAS_VALIDATE environment variable is set). It sits on the engine's
+// observer list after the StreamChecker and is fed:
+//   * every kernel op (the op whose body executes next) and every halo
+//     begin/end, via on_event();
 //   * the execution window of each kernel body, via body_begin()/body_end();
-//   * every data-management directive and host/device access note, via the
-//     MemoryObserver hook on the MemoryManager;
 //   * a ShadowSlot per Field-backed array (analysis/shadow.hpp), through
 //     which Array3 reports which elements a body actually touches.
 //
-// Three analyses run on this feed:
-//   1. Coherence checker (Manual memory mode): a per-array host-dirty /
-//      device-dirty state machine flags device reads of stale copies,
-//      host/MPI reads of dirty device data, exits that discard device
-//      writes, and unbalanced enter/exit pairs.
-//   2. Access-list verifier: the set of arrays a body touched is diffed
+// It keeps only the checks that need observed touches; every op-level
+// check (coherence, async queue, fusion chains) lives in the checker:
+//   1. Access-list verifier: the set of arrays a body touched is diffed
 //      against the op's declared Access list — undeclared touches are the
-//      missing-data-clause bug; declared-but-untouched writes inflate the
-//      cost model.
-//   3. DC-legality & race checker: element write tags detect duplicate
-//      writes within one iteration space (illegal `do concurrent`) and
-//      write conflicts across kernels fused into one ACC launch; reduction
-//      sites still marked async-capable are flagged, since the engine
-//      hands their result to the host with no intervening device_sync.
-//
-// The modeled MPI layer captures payloads synchronously and every Comm
-// entry point emits a FusionBreakOp first; the validator therefore treats
-// FusionBreak (like SyncOp) as draining the single async queue. The
-// missing-sync hazard remains visible whenever code bypasses Comm (e.g. a
-// direct update_host after an async kernel).
+//      missing-data-clause bug (UndeclaredAccess); declared-but-untouched
+//      writes inflate the cost model (DeclaredWriteNotTouched).
+//   2. Element tags: duplicate writes within one iteration space (illegal
+//      `do concurrent`, DuplicateWrite), element conflicts across kernels
+//      of one ACC fusion chain (FusedConflict), and touches of in-flight
+//      ghost columns (InflightGhostRead). Chain ids and op slots are read
+//      from the checker, so both halves agree on what fuses.
 //
 // The validator never touches the clock ledger: modeled time is identical
 // with validation on or off.
@@ -44,21 +35,25 @@
 #include "analysis/diagnostics.hpp"
 #include "analysis/shadow.hpp"
 #include "gpusim/memory_manager.hpp"
-#include "par/scheduler.hpp"
 #include "par/stream.hpp"
 
 namespace simas::analysis {
 
-class Validator final : public gpusim::MemoryObserver {
+class StreamChecker;
+
+class Validator final : public par::OpObserver {
  public:
-  /// Both references are Engine members and outlive the validator.
-  Validator(const par::EngineConfig& cfg, gpusim::MemoryManager& mem);
+  /// Both references are Engine members and outlive the validator; the
+  /// checker must observe each op before the validator does.
+  Validator(const StreamChecker& chain, const gpusim::MemoryManager& mem);
   ~Validator() override;
   Validator(const Validator&) = delete;
   Validator& operator=(const Validator&) = delete;
 
-  // ---- IR hooks (called by the Engine on the rank thread) ----
-  void on_op(const par::StreamOp& op);
+  /// Kernel ops arm the next body; halo begin/end mark the in-flight
+  /// radial ghost columns (any body access to column off % radial_stride
+  /// in {lo_column, hi_column} is an InflightGhostRead).
+  void on_event(const par::OpEvent& ev) override;
   /// Bracket the execution of the body belonging to the last kernel op.
   void body_begin();
   void body_end();
@@ -73,25 +68,9 @@ class Validator final : public gpusim::MemoryObserver {
   ShadowSlot* attach_shadow(gpusim::ArrayId id, std::size_t elements);
   void detach_shadow(gpusim::ArrayId id);
 
-  // ---- In-flight halo tracking (called by mpisim::HaloExchanger) ----
-  /// Mark the radial ghost columns of `id` whose overlapped exchange has
-  /// been posted but not finished: any kernel-body access to column
-  /// off % radial_stride in {lo_column, hi_column} is an InflightGhostRead
-  /// (RAW race against the unfinished recv). Columns are (i + nghost);
-  /// pass -1 to skip a side.
-  void begin_inflight_recv(gpusim::ArrayId id, std::size_t radial_stride,
-                           int lo_column, int hi_column);
-  /// Clear the marks (the exchange finished; unpack may now write them).
-  void end_inflight_recv(gpusim::ArrayId id);
-
-  // ---- MemoryObserver ----
-  void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) override;
-
-  // ---- Report ----
-  /// Snapshot of the findings so far.
-  ValidationReport report() const;
-  /// Drain the findings (tests consume diagnostics before Engine teardown;
-  /// a drained validator never trips the fatal-at-destruction path).
+  /// Drain the shadow findings (tests consume diagnostics before Engine
+  /// teardown; a drained validator never trips the fatal-at-destruction
+  /// path).
   ValidationReport take();
 
  private:
@@ -100,39 +79,21 @@ class Validator final : public gpusim::MemoryObserver {
   struct ArrayState {
     std::string name;
     std::size_t elements = 0;  ///< allocation size, for the tag vector
-    bool on_device = false;
-    bool host_dirty = false;    ///< host copy newer than device copy
-    bool device_dirty = false;  ///< device copy newer than host copy
-    bool pending_async = false; ///< async device write not yet drained
     std::unique_ptr<ShadowSlot> slot;
     std::unique_ptr<std::vector<std::atomic<u64>>> tags;
   };
 
-  ArrayState& state_for(gpusim::ArrayId id);
-  void diagnose(Check check, const std::string& site,
-                const std::string& array, std::string message,
-                std::string location = {});
-  void drain_async_queue();
+  void diagnose(Check check, const std::string& array, const char* message,
+                bool with_location);
   /// Conflict sink for ShadowSlot::note_element (runs on pool threads).
   void report_conflict(const ShadowSlot& slot, u64 prev_tag, u64 new_tag);
   /// Sink for ShadowSlot::note_inflight (runs on pool threads).
   void report_inflight(const ShadowSlot& slot);
 
-  const par::EngineConfig& cfg_;
-  gpusim::MemoryManager& mem_;
-
-  // Model facts resolved once from the config.
-  bool manual_gpu_ = false;   ///< coherence machine active
-  bool acc_async_ = false;    ///< async launches possible (Acc model)
-  bool acc_fusion_ = false;   ///< fusion chains possible (Acc model)
+  const StreamChecker& chain_;
+  const gpusim::MemoryManager& mem_;
 
   std::unordered_map<gpusim::ArrayId, ArrayState> arrays_;
-
-  // Fusion-chain bookkeeping, mirroring AccScheduler::fuse_with_previous.
-  int last_group_ = 0;
-  u64 chain_id_ = 1;
-  u64 op_slot_ = 0;
-  std::vector<gpusim::ArrayId> chain_written_;  ///< pure-write arrays so far
 
   // The kernel op whose body executes next.
   struct PendingKernel {
@@ -147,8 +108,6 @@ class Validator final : public gpusim::MemoryObserver {
   u64 window_seq_ = 0;  ///< armed-window sequence (see current_window())
   std::string current_site_;      ///< site name during body execution
   std::string current_location_;  ///< its registering file:line
-
-  i64 op_index_ = 0;
 
   // Findings, folded per (check, site, array). The mutex only guards the
   // diagnostic map: element tagging itself is lock-free.

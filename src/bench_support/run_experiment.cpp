@@ -341,17 +341,13 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     result.host_seconds_per_step =
         std::max(result.host_seconds_per_step, r.host_seconds_per_step);
   }
-  result.wall_minutes = cfg.scale.minutes_for(worst_step);
-  result.mpi_minutes = cfg.scale.minutes_for(worst_mpi);
-  result.hidden_mpi_minutes = cfg.scale.minutes_for(worst_hidden);
 
   // Cross-rank merged metrics (per-metric merge policy: counters sum,
   // gauges Max/Sum as declared, histograms add bucket-wise).
   for (const auto& r : result.ranks) result.metrics.merge_from(r.metrics);
 
-  // Canonical dotted families for the run-level outputs, matching the
-  // jobs.*/um.* naming so the Prometheus exporter needs no special cases.
-  // The flat struct fields above stay for one more release (deprecated).
+  // Dotted families for the run-level outputs, matching the jobs.*/um.*
+  // naming so the Prometheus exporter needs no special cases.
   const auto add_gauge = [&result](const char* name, double v) {
     telemetry::MetricSample s;
     s.name = name;
@@ -360,9 +356,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     s.value = v;
     result.metrics.samples.push_back(std::move(s));
   };
-  add_gauge("time.wall_minutes", result.wall_minutes);
-  add_gauge("mpi.exposed_minutes", result.mpi_minutes);
-  add_gauge("mpi.hidden_minutes", result.hidden_mpi_minutes);
+  add_gauge("time.wall_minutes", cfg.scale.minutes_for(worst_step));
+  add_gauge("mpi.exposed_minutes", cfg.scale.minutes_for(worst_mpi));
+  add_gauge("mpi.hidden_minutes", cfg.scale.minutes_for(worst_hidden));
 
   // Flight-recorder dump triggers owned by this layer: a static-verifier
   // error, or the explicit SIMAS_FLIGHT_DUMP end-of-run request.

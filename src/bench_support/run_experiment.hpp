@@ -112,7 +112,7 @@ struct ExperimentConfig {
   /// kernels are shadowed; modeled time is unaffected.
   bool capture_stream = false;
   /// Verified-stream certificates (EngineConfig::certify): the first run
-  /// of a shape validates + captures and publishes a certificate into
+  /// of a shape validates and publishes a certificate into
   /// `graph_cache`; later runs of the same shape skip runtime shadow
   /// checks entirely (hash-only integrity). Requires graph_cache.
   bool certify = false;
@@ -183,23 +183,6 @@ struct RankTiming {
 };
 
 struct ExperimentResult {
-  // NOTE (deprecation): the flat wall_minutes / mpi_minutes /
-  // hidden_mpi_minutes fields below remain the struct API, but their
-  // canonical metric names are now the dotted families appended to
-  // `metrics` (time.wall_minutes, mpi.exposed_minutes,
-  // mpi.hidden_minutes) so exporters need no special cases. Benches keep
-  // emitting the old flat JSON keys for one release alongside the dotted
-  // ones; new consumers should read the dotted names.
-
-  /// Paper-projected wall-clock minutes for the full test problem
-  /// (slowest rank; ranks are collective-synchronized so they agree
-  /// closely).
-  double wall_minutes = 0.0;
-  double mpi_minutes = 0.0;
-  /// Overlapped MPI transfer minutes on the slowest rank (hidden behind
-  /// compute, not part of wall_minutes).
-  double hidden_mpi_minutes = 0.0;
-  double non_mpi_minutes() const { return wall_minutes - mpi_minutes; }
   /// Slowest rank's real host wall-clock per measured step (see
   /// RankTiming::host_seconds_per_step).
   double host_seconds_per_step = 0.0;
@@ -217,6 +200,11 @@ struct ExperimentResult {
   /// one pid per rank.
   std::vector<trace::Recorder> rank_traces;
   /// All-rank merged views (per-metric merge policy / matched by site).
+  /// The run-level outputs live here too, as Max-merged gauges projected
+  /// to the paper's full test problem from the slowest rank (ranks are
+  /// collective-synchronized, so they agree closely): time.wall_minutes,
+  /// mpi.exposed_minutes, and mpi.hidden_minutes (overlapped MPI transfer
+  /// hidden behind compute, not part of the wall).
   telemetry::MetricsSnapshot metrics;
   telemetry::SiteProfileSnapshot profile;
   /// Per-rank static-verifier reports (ExperimentConfig::capture_stream;

@@ -96,8 +96,9 @@ class MemoryManager {
                          bool derived_type_member = false);
   void unregister_array(ArrayId id);
 
-  /// The observer (the kernel-stream validator) is notified of every data
-  /// directive and access note. Pass nullptr to detach.
+  /// The observer (the owning Engine, which hands each event to its
+  /// observer list) is notified of every data directive and access note.
+  /// Pass nullptr to detach.
   void set_observer(MemoryObserver* obs) { observer_ = obs; }
 
   // ---- Manual-mode data directives (no-ops under Unified / HostOnly) ----

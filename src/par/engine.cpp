@@ -13,39 +13,9 @@
 
 namespace simas::par {
 
-namespace {
-
-/// OpKind -> FlightKind for the six stream-op kinds (the flight vocabulary
-/// extends the IR's with halo/data/note events).
-telemetry::FlightKind flight_kind(OpKind k) {
-  switch (k) {
-    case OpKind::Launch: return telemetry::FlightKind::Launch;
-    case OpKind::Reduce: return telemetry::FlightKind::Reduce;
-    case OpKind::ArrayReduce: return telemetry::FlightKind::ArrayReduce;
-    case OpKind::Sync: return telemetry::FlightKind::Sync;
-    case OpKind::FusionBreak: return telemetry::FlightKind::FusionBreak;
-    case OpKind::MemHint: return telemetry::FlightKind::MemHint;
-  }
-  return telemetry::FlightKind::Sync;
-}
-
-/// First declared array of a kernel op, -1 when none (sync/fusion ops).
-i32 flight_array(const StreamOp& op) {
-  return std::visit(
-      [](const auto& o) -> i32 {
-        using T = std::decay_t<decltype(o)>;
-        if constexpr (std::is_base_of_v<KernelOp, T>) {
-          return o.accesses.empty() ? -1 : static_cast<i32>(o.accesses[0].id);
-        } else if constexpr (std::is_same_v<T, MemHintOp>) {
-          return static_cast<i32>(o.id);
-        } else {
-          return -1;
-        }
-      },
-      op);
-}
-
-}  // namespace
+// FlightKind's first six values mirror OpKind one-to-one.
+static_assert(static_cast<int>(telemetry::FlightKind::MemHint) ==
+              static_cast<int>(OpKind::MemHint));
 
 Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
@@ -93,39 +63,78 @@ Engine::Engine(EngineConfig cfg)
     cert_ = cfg_.graph_cache->find_certificate(cert_scope());
     certified_ = cert_ != nullptr;
   }
-  if (cfg_.certify && !certified_) {
-    // First engine of an uncertified scope: validate + capture so the
-    // first report drain can mint the certificate.
-    cfg_.validate = true;
-    cfg_.capture_stream = true;
+  // First engine of an uncertified scope: validate so the first report
+  // drain can mint the certificate.
+  if (cfg_.certify && !certified_) cfg_.validate = true;
+  flight_.engine = this;
+  observers_.push_back(&flight_);
+  if (cfg_.capture_stream && !certified_) {
+    capture_ = std::make_unique<analysis::StreamCapture>(mem_);
+    observers_.push_back(capture_.get());
   }
   if (cfg_.validate && !certified_) {
-    validator_ = std::make_unique<analysis::Validator>(cfg_, mem_);
+    // The checker sees each op before the validator reads its chain.
+    checker_ = std::make_unique<analysis::StreamChecker>(
+        analysis::StaticModel::from(cfg_),
+        [this](gpusim::ArrayId id) { return mem_.record(id).name; });
+    validator_ = std::make_unique<analysis::Validator>(*checker_, mem_);
+    observers_.push_back(checker_.get());
+    observers_.push_back(validator_.get());
     shadow_exec_ = true;
     shadow_ctx_.owner = validator_.get();
   }
-  if (cfg_.capture_stream && !certified_) {
-    capture_ = std::make_unique<analysis::StreamCapture>(mem_);
-    // The MemoryManager has a single observer slot: the capture records
-    // every data event and forwards it to the validator.
-    capture_->set_next(validator_.get());
-    flight_obs_.next = capture_.get();
-  } else if (validator_ != nullptr) {
-    flight_obs_.next = validator_.get();
-  }
-  // The flight recorder always observes coherence transitions, forwarding
-  // to whatever the capture/validator chain would have received directly.
-  flight_obs_.engine = this;
-  mem_.set_observer(&flight_obs_);
+  mem_.set_observer(this);
 }
 
-void Engine::FlightMemObserver::on_data_event(gpusim::DataEvent ev,
-                                              gpusim::ArrayId id) {
+void Engine::FlightLog::on_event(const OpEvent& ev) {
+  telemetry::FlightKind kind = telemetry::FlightKind::DataEvent;
+  i32 site = -1;
+  i32 array = static_cast<i32>(ev.id);
+  i64 payload = 0;
+  unsigned char detail = 0;
+  switch (ev.kind) {
+    case OpEvent::Kind::Op: {
+      // Payload is cells for kernel ops and bytes for hint ops; detail
+      // carries the MemHint code so a dump can name the hint. The array is
+      // a kernel's first declared one.
+      const StreamOp& op = *ev.op;
+      kind = static_cast<telemetry::FlightKind>(op_kind(op));
+      if (const KernelSite* s = op_site(op)) site = static_cast<i32>(s->id);
+      array = -1;
+      if (const KernelOp* k = kernel_op(op)) {
+        payload = k->cells;
+        if (!k->accesses.empty()) array = static_cast<i32>(k->accesses[0].id);
+      } else if (const auto* h = std::get_if<MemHintOp>(&op)) {
+        payload = h->bytes;
+        array = static_cast<i32>(h->id);
+        detail = static_cast<unsigned char>(h->hint);
+      }
+      break;
+    }
+    case OpEvent::Kind::Data:
+      detail = static_cast<unsigned char>(ev.data);
+      break;
+    case OpEvent::Kind::HaloBegin:
+      kind = telemetry::FlightKind::HaloBegin;
+      payload = static_cast<i64>(ev.radial_stride);
+      detail = static_cast<unsigned char>((ev.lo_column >= 0 ? 1 : 0) |
+                                          (ev.hi_column >= 0 ? 2 : 0));
+      break;
+    case OpEvent::Kind::HaloEnd:
+      kind = telemetry::FlightKind::HaloEnd;
+      break;
+  }
   telemetry::FlightRecorder::process().record(
-      telemetry::FlightKind::DataEvent, engine->cfg_.trace_id,
-      engine->cfg_.flight_rank, engine->ledger_.now(), /*site=*/-1,
-      static_cast<i32>(id), /*payload=*/0, static_cast<unsigned char>(ev));
-  if (next != nullptr) next->on_data_event(ev, id);
+      kind, engine->cfg_.trace_id, engine->cfg_.flight_rank,
+      engine->ledger_.now(), site, array, payload, detail);
+}
+
+void Engine::on_data_event(gpusim::DataEvent data, gpusim::ArrayId id) {
+  OpEvent ev;
+  ev.kind = OpEvent::Kind::Data;
+  ev.data = data;
+  ev.id = id;
+  notify(ev);
 }
 
 Engine::~Engine() {
@@ -143,8 +152,7 @@ Engine::~Engine() {
     return;
   }
   if (validator_ == nullptr) return;
-  const analysis::ValidationReport report = validator_->take();
-  finalize_certificate(report);
+  const analysis::ValidationReport report = take_validation_report();
   if (!report.diagnostics.empty()) {
     for (const analysis::Diagnostic& d : report.diagnostics) {
       if (d.severity == analysis::Severity::Error)
@@ -156,7 +164,6 @@ Engine::~Engine() {
              std::to_string(report.warnings()) + " warning(s) over " +
              std::to_string(report.ops_checked) + " ops");
   }
-  maybe_flight_dump(report);
   if (cfg_.validate_fatal && report.errors() > 0) {
     std::fprintf(stderr,
                  "simas: SIMAS_VALIDATE_FATAL set and the kernel-stream "
@@ -168,8 +175,17 @@ Engine::~Engine() {
 
 analysis::ValidationReport Engine::take_validation_report() {
   if (validator_ == nullptr) return {};
-  analysis::ValidationReport report = validator_->take();
-  finalize_certificate(report);
+  analysis::ValidationReport checked = checker_->report();
+  analysis::ValidationReport shadow = validator_->take();
+  finalize_certificate(checked.errors() == 0 && shadow.errors() == 0);
+  // The checker's declaration-derived findings are static_verify's; their
+  // element-exact counterparts come from the shadow validator.
+  analysis::ValidationReport report;
+  report.ops_checked = checked.ops_checked;
+  for (analysis::Diagnostic& d : checked.diagnostics)
+    if (analysis::op_level(d.check)) report.diagnostics.push_back(std::move(d));
+  for (analysis::Diagnostic& d : shadow.diagnostics)
+    report.diagnostics.push_back(std::move(d));
   maybe_flight_dump(report);
   return report;
 }
@@ -185,20 +201,12 @@ void Engine::maybe_flight_dump(const analysis::ValidationReport& report) {
   fr.dump_to_file(ctx.env().flight_dump, "validator_error");
 }
 
-void Engine::finalize_certificate(const analysis::ValidationReport& report) {
+void Engine::finalize_certificate(bool clean) {
   if (!cfg_.certify || cert_finalized_) return;
   cert_finalized_ = true;
-  if (capture_ == nullptr || cfg_.graph_cache == nullptr) return;
-  if (report.errors() > 0) return;
-  const analysis::ValidationReport st = static_verify();
-  if (st.errors() > 0) return;
-  StreamCertificate cert;
-  cert.scope = cert_scope();
-  cert.stream_hash = capture_->stream_hash();
-  cert.ops = capture_->ops();
-  cert.runtime_clean = true;
-  cert.static_clean = true;
-  cfg_.graph_cache->publish_certificate(cert);
+  if (clean && cfg_.graph_cache != nullptr)
+    cfg_.graph_cache->publish_certificate(
+        StreamCertificate{cert_scope(), live_hash_, live_ops_});
 }
 
 analysis::ValidationReport Engine::static_verify() const {
@@ -214,24 +222,20 @@ bool Engine::certified_stream_matches() const {
 void Engine::note_halo_begin(gpusim::ArrayId id, std::size_t radial_stride,
                              int lo_column, int hi_column) {
   if (lo_column < 0 && hi_column < 0) return;
-  telemetry::FlightRecorder::process().record(
-      telemetry::FlightKind::HaloBegin, cfg_.trace_id, cfg_.flight_rank,
-      ledger_.now(), /*site=*/-1, static_cast<i32>(id),
-      static_cast<i64>(radial_stride),
-      static_cast<unsigned char>((lo_column >= 0 ? 1 : 0) |
-                                 (hi_column >= 0 ? 2 : 0)));
-  if (validator_ != nullptr)
-    validator_->begin_inflight_recv(id, radial_stride, lo_column, hi_column);
-  if (capture_ != nullptr)
-    capture_->on_halo_begin(id, lo_column >= 0, hi_column >= 0);
+  OpEvent ev;
+  ev.kind = OpEvent::Kind::HaloBegin;
+  ev.id = id;
+  ev.radial_stride = radial_stride;
+  ev.lo_column = lo_column;
+  ev.hi_column = hi_column;
+  notify(ev);
 }
 
 void Engine::note_halo_end(gpusim::ArrayId id) {
-  telemetry::FlightRecorder::process().record(
-      telemetry::FlightKind::HaloEnd, cfg_.trace_id, cfg_.flight_rank,
-      ledger_.now(), /*site=*/-1, static_cast<i32>(id), /*payload=*/0);
-  if (validator_ != nullptr) validator_->end_inflight_recv(id);
-  if (capture_ != nullptr) capture_->on_halo_end(id);
+  OpEvent ev;
+  ev.kind = OpEvent::Kind::HaloEnd;
+  ev.id = id;
+  notify(ev);
 }
 
 void Engine::body_begin() {
@@ -324,23 +328,9 @@ void Engine::mem_advise(gpusim::ArrayId id, MemHint advise,
 }
 
 void Engine::submit(StreamOp op) {
-  {
-    // Flight recording: one lock-free ring append per op, always on. The
-    // payload is cells for kernel ops and bytes for hint ops; detail
-    // carries the MemHint code so a dump can name the hint.
-    const OpKind k = op_kind(op);
-    const KernelSite* site = op_site(op);
-    i64 payload = op_cells(op);
-    unsigned char detail = 0;
-    if (const MemHintOp* h = std::get_if<MemHintOp>(&op)) {
-      payload = h->bytes;
-      detail = static_cast<unsigned char>(h->hint);
-    }
-    telemetry::FlightRecorder::process().record(
-        flight_kind(k), cfg_.trace_id, cfg_.flight_rank, ledger_.now(),
-        site != nullptr ? static_cast<i32>(site->id) : -1, flight_array(op),
-        payload, detail);
-  }
+  OpEvent ev;
+  ev.op = &op;
+  notify(ev);
   switch (graph_mode_) {
     case GraphMode::Capture:
       active_graph_->append(op);
@@ -358,14 +348,12 @@ void Engine::submit(StreamOp op) {
     case GraphMode::Diverged:
       break;
   }
-  if (certified_) {
-    // Shadow checks are skipped under a certificate; fold the O(1)
-    // integrity fingerprint instead (compared at teardown).
+  if (cfg_.certify) {
+    // O(1) integrity fingerprint: minted on a clean first run, compared
+    // at teardown when shadow checks are skipped under a certificate.
     live_hash_ = hash_op_signature(live_hash_, op);
     ++live_ops_;
   }
-  if (capture_ != nullptr) capture_->on_op(op);
-  if (validator_ != nullptr) validator_->on_op(op);
   sched_->consume(op);
 }
 

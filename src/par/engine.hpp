@@ -27,6 +27,12 @@
 // (the PCG inner iteration); its first pass is captured, later passes are
 // validated against the capture and charged one per-graph launch overhead
 // instead of one per kernel. See DESIGN.md "Execution pipeline".
+//
+// Everything the engine records — IR ops, Manual-mode data events, halo
+// begin/end windows — reaches its observers as one ordered stream of
+// par::OpEvents through a single list: the flight recorder (always), the
+// StreamCapture (cfg.capture_stream), and under validation the
+// StreamChecker followed by the shadow Validator. See DESIGN.md §10.
 
 #include <algorithm>
 #include <initializer_list>
@@ -58,6 +64,7 @@
 
 namespace simas::analysis {
 class StreamCapture;
+class StreamChecker;
 class Validator;
 }
 
@@ -65,10 +72,10 @@ namespace simas::par {
 
 struct StreamCertificate;
 
-class Engine {
+class Engine : private gpusim::MemoryObserver {
  public:
   explicit Engine(EngineConfig cfg);
-  ~Engine();
+  ~Engine() override;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
 
@@ -102,17 +109,19 @@ class Engine {
   /// GraphStats — so one call captures everything the rank knows.
   telemetry::MetricsSnapshot metrics_snapshot();
 
-  /// Live kernel-stream validator; nullptr when validation is off.
+  /// Live shadow validator; nullptr when validation is off.
   analysis::Validator* validator() { return validator_.get(); }
-  /// Drain the validator's findings (empty report when validation is off).
-  /// Draining before teardown also disarms the validate_fatal abort — and,
-  /// under cfg.certify, mints the scope's verified-stream certificate when
-  /// the drained report and the static pass are both clean (the drained
-  /// stream must therefore be the complete run).
+  /// Drain the validation findings (empty report when validation is off):
+  /// the live StreamChecker's op-level findings (analysis::op_level) plus
+  /// the shadow validator's element findings. Draining before teardown
+  /// also disarms the validate_fatal abort — and, under cfg.certify, mints
+  /// the scope's verified-stream certificate when both drained reports are
+  /// error-free, the checker's declaration-derived findings included (the
+  /// drained stream must therefore be the complete run).
   analysis::ValidationReport take_validation_report();
 
-  /// Recorded event trace (cfg.capture_stream / uncertified cfg.certify);
-  /// nullptr when capture is off.
+  /// Recorded event trace (cfg.capture_stream); nullptr when capture is
+  /// off.
   analysis::StreamCapture* stream_capture() { return capture_.get(); }
   /// Run the static verifier over the recorded trace (empty report when
   /// capture is off). Pure: executes no kernels, touches no engine state.
@@ -126,9 +135,8 @@ class Engine {
   /// teardown, loudly.
   bool certified_stream_matches() const;
 
-  /// Halo-exchange window notes (called by mpisim::HaloExchanger).
-  /// Forwarded to the runtime validator's in-flight tracking and recorded
-  /// in the stream capture; no-ops when neither is active. Columns are
+  /// Halo-exchange window notes (called by mpisim::HaloExchanger), handed
+  /// to every observer as HaloBegin/HaloEnd events. Columns are
   /// (i + nghost); pass -1 to skip a side.
   void note_halo_begin(gpusim::ArrayId id, std::size_t radial_stride,
                        int lo_column, int hi_column);
@@ -292,13 +300,19 @@ class Engine {
   void record_array_reduce(const KernelSite& site, i64 cells,
                            std::initializer_list<Access> acc);
   void submit(StreamOp op);
+  /// Hand one event to every observer, in list order.
+  void notify(const OpEvent& ev) {
+    for (OpObserver* o : observers_) o->on_event(ev);
+  }
+  /// MemoryObserver: data directives and access notes join the stream.
+  void on_data_event(gpusim::DataEvent data, gpusim::ArrayId id) override;
   void diverge();
   /// Dump the process flight recorder when a drained validation report
   /// carries errors and the context's SIMAS_FLIGHT_DUMP path is set.
   void maybe_flight_dump(const analysis::ValidationReport& report);
-  /// Mint the scope's verified-stream certificate from a drained runtime
-  /// report + a static pass over the capture (once; first drain wins).
-  void finalize_certificate(const analysis::ValidationReport& report);
+  /// Mint the scope's verified-stream certificate from the live stream
+  /// fold when the drained reports are clean (once; first drain wins).
+  void finalize_certificate(bool clean);
   /// Certificate partition key (cfg_.cert_scope, falling back to the graph
   /// scope when unset — see EngineConfig::cert_scope).
   const std::string& cert_scope() const {
@@ -545,22 +559,19 @@ class Engine {
     });
   }
 
-  /// Always-installed memory observer: records every coherence transition
-  /// (data directives, host/device access notes) into the process flight
-  /// recorder, then forwards to the capture/validator chain. Recording is
-  /// O(1) and lock-free; `next` is the observer the engine would have
-  /// installed directly before the flight recorder existed.
-  struct FlightMemObserver final : gpusim::MemoryObserver {
-    Engine* engine = nullptr;
-    gpusim::MemoryObserver* next = nullptr;
-    void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) override;
+  /// The always-on first observer: one allocation-free, O(1) append
+  /// to the process flight recorder per event (integers only; site ids
+  /// resolve to file:line at dump time).
+  struct FlightLog final : OpObserver {
+    const Engine* engine = nullptr;
+    void on_event(const OpEvent& ev) override;
   };
 
   EngineConfig cfg_;
   gpusim::ClockLedger ledger_;
   gpusim::CostModel cost_;
   gpusim::MemoryManager mem_;
-  FlightMemObserver flight_obs_;
+  FlightLog flight_;
   trace::Recorder tracer_;
   /// Kernel execution threads: borrowed (cfg.shared_pool / the context's
   /// shared pool — N engines multiplexing one host-thread budget) or
@@ -576,16 +587,23 @@ class Engine {
   telemetry::SiteProfiler profiler_;
   gpusim::TimeCategory kernel_category_ = gpusim::TimeCategory::Compute;
   std::unique_ptr<Scheduler> sched_;
-  std::unique_ptr<analysis::Validator> validator_;
-  /// Event-trace recorder; feeds static_verify() and certificate minting.
+  /// Event-trace recorder; feeds static_verify().
   std::unique_ptr<analysis::StreamCapture> capture_;
+  /// Validation: the live op-level checker and the shadow validator that
+  /// reads its chain positions (both non-null or both null).
+  std::unique_ptr<analysis::StreamChecker> checker_;
+  std::unique_ptr<analysis::Validator> validator_;
+  /// Every observer of the event stream, in notification order: flight_,
+  /// then capture_, checker_, validator_ when present.
+  std::vector<OpObserver*> observers_;
   /// Certificate this engine runs under (nullptr when uncertified).
   const StreamCertificate* cert_ = nullptr;
   bool certified_ = false;
   /// Certificate minted/attempted already (first drain wins; teardown
   /// does not re-mint).
   bool cert_finalized_ = false;
-  /// Certified-mode integrity fold over the live op stream.
+  /// Integrity fold over the live op stream (cfg.certify): minted into the
+  /// certificate on a clean first run, compared against it when certified.
   u64 live_hash_ = kStreamHashSeed;
   i64 live_ops_ = 0;
   /// Validation on: the execute loops publish per-iteration ids so shadow

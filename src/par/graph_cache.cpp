@@ -42,8 +42,7 @@ const StreamCertificate* GraphCache::find_certificate(
 }
 
 bool GraphCache::publish_certificate(const StreamCertificate& cert) {
-  if (cert.scope.empty() || !cert.runtime_clean || !cert.static_clean)
-    return false;
+  if (cert.scope.empty()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
   const auto [it, inserted] = certs_.try_emplace(cert.scope, nullptr);
   if (!inserted) {

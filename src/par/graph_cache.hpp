@@ -27,8 +27,8 @@
 namespace simas::par {
 
 /// A verified-stream certificate: one engine of this scope ran its FULL op
-/// stream under the runtime validator AND the static verifier
-/// (analysis/static_verifier.hpp) and both came back clean. Under the same
+/// stream under validation — the live StreamChecker and the shadow
+/// Validator (analysis/) — and both came back clean. Under the same
 /// contract that makes graph sharing sound — equal scopes record identical
 /// op streams — later engines of the scope may skip runtime shadow checks
 /// entirely and fall back to an O(1)-per-op integrity hash: they re-fold
@@ -39,8 +39,6 @@ struct StreamCertificate {
   std::string scope;     ///< shape_key() + "/r<rank>" partition key
   u64 stream_hash = 0;   ///< folded op-signature hash of the verified stream
   i64 ops = 0;           ///< ops in the verified stream
-  bool runtime_clean = false;  ///< runtime validator found zero errors
-  bool static_clean = false;   ///< static verifier found zero errors
 };
 
 class GraphCache {
@@ -70,8 +68,8 @@ class GraphCache {
   /// removed).
   const StreamCertificate* find_certificate(const std::string& scope);
 
-  /// Store a certificate; returns false if one already exists for its
-  /// scope (first publisher wins — benign, like graph publication: equal
+  /// Store a certificate; returns false for an empty scope or if one
+  /// already exists for its scope (first publisher wins — benign, like graph publication: equal
   /// scopes certify identical streams).
   bool publish_certificate(const StreamCertificate& cert);
 

@@ -57,8 +57,9 @@ struct EngineConfig {
   /// wrapper routines of paper Code 6 (zero-init kernels the original
   /// code did not have).
   double wrapper_init_overhead = 0.0;
-  /// Run the kernel-stream validator (analysis/validator.hpp) over the op
-  /// stream: coherence, access-list, and DC-legality checking. Also
+  /// Validate the op stream live: the StreamChecker's op-level checks
+  /// (coherence, async queue, fusion chains) plus the shadow Validator's
+  /// element checks (access lists, DC legality, in-flight ghosts). Also
   /// enabled by the SIMAS_VALIDATE environment variable. Validation never
   /// changes modeled time.
   bool validate = false;
@@ -75,10 +76,10 @@ struct EngineConfig {
   /// graph_cache + graph_cache_scope. If the cache already certifies this
   /// scope, the engine skips runtime shadow validation entirely and only
   /// re-folds the O(1)-per-op stream hash, comparing it against the
-  /// certificate at teardown. Otherwise the engine validates + captures,
-  /// and mints the scope's certificate when both the runtime validator
-  /// and the static verifier come back clean. validate_fatal disables the
-  /// skip (the CI validate job always checks everything).
+  /// certificate at teardown. Otherwise the engine validates and mints
+  /// the scope's certificate (scope + stream hash + op count) when the
+  /// drained checker and shadow reports are error-free. validate_fatal
+  /// disables the skip (the CI validate job always checks everything).
   bool certify = false;
   /// Overlapped halo exchange: HaloExchanger posts nonblocking sends on the
   /// rank's copy stream and the solver splits radial sweeps into interior

@@ -146,6 +146,8 @@ using StreamOp = std::variant<LaunchOp, ReduceOp, ArrayReduceOp, SyncOp,
                               FusionBreakOp, MemHintOp>;
 
 OpKind op_kind(const StreamOp& op);
+/// Kernel payload of a launch/reduction op; nullptr for the other kinds.
+const KernelOp* kernel_op(const StreamOp& op);
 /// Site of a kernel or hint op; nullptr for SyncOp / FusionBreakOp.
 const KernelSite* op_site(const StreamOp& op);
 /// Cell count of a kernel op; 0 for SyncOp / FusionBreakOp / MemHintOp.
@@ -164,6 +166,34 @@ bool same_signature(const StreamOp& a, const StreamOp& b);
 /// live stream and compares against the certificate at teardown.
 u64 hash_op_signature(u64 h, const StreamOp& op);
 inline constexpr u64 kStreamHashSeed = 14695981039346656037ull;
+
+// ---------------------------------------------------------------------
+// Op events: the one stream every engine observer sees.
+
+/// One event of a rank's ordered stream, handed by reference to each
+/// observer on the Engine's list (flight recorder, StreamCapture,
+/// StreamChecker, shadow Validator). Besides the IR op it carries the two
+/// channels the IR does not: Manual-mode data directives / host-device
+/// access notes, and the begin/end pair of an overlapped halo exchange.
+/// All of them fire on the rank thread, so list order is program order.
+struct OpEvent {
+  enum class Kind : unsigned char { Op, Data, HaloBegin, HaloEnd };
+  Kind kind = Kind::Op;
+  const StreamOp* op = nullptr;  ///< Op: borrowed for the call only
+  gpusim::DataEvent data = gpusim::DataEvent::HostRead;  ///< Data
+  gpusim::ArrayId id = gpusim::kInvalidArray;  ///< Data / HaloBegin / HaloEnd
+  /// HaloBegin: the array's radial stride and its in-flight ghost columns
+  /// (i + nghost), -1 for a side not posted.
+  std::size_t radial_stride = 0;
+  int lo_column = -1;
+  int hi_column = -1;
+};
+
+class OpObserver {
+ public:
+  virtual ~OpObserver() = default;
+  virtual void on_event(const OpEvent& ev) = 0;
+};
 
 // ---------------------------------------------------------------------
 // Graph capture/replay (CUDA-Graph analog).

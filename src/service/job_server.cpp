@@ -240,6 +240,9 @@ telemetry::MetricsSnapshot JobServer::metrics() {
   const AdmissionQueue::Stats qs = queue_.stats();
   registry_.counter("queue.accepted").set(qs.accepted);
   registry_.counter("queue.rejected").set(qs.rejected);
+  registry_.counter("flight.contended_waits")
+      .set(static_cast<i64>(
+          telemetry::FlightRecorder::process().contended_waits()));
   queue_depth_gauge_.set(static_cast<double>(queue_.depth()));
   return registry_.snapshot();
 }

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <ostream>
+#include <thread>
 
 #include "par/site_table.hpp"
 #include "util/json.hpp"
@@ -35,7 +36,14 @@ const char* flight_note_name(FlightNote n) {
   return "unknown";
 }
 
-FlightRecorder::FlightRecorder() : ring_(new Slot[kCapacity]) {}
+FlightRecorder::FlightRecorder(std::size_t capacity)
+    : capacity_(capacity), mask_(capacity - 1), ring_(new Slot[capacity]) {}
+
+void FlightRecorder::wait_for_previous_lap(const Slot& s, u64 prev) {
+  contended_waits_.fetch_add(1, std::memory_order_relaxed);
+  while (s.tag.load(std::memory_order_acquire) != prev)
+    std::this_thread::yield();
+}
 
 FlightRecorder& FlightRecorder::process() {
   static FlightRecorder recorder;
@@ -44,12 +52,13 @@ FlightRecorder& FlightRecorder::process() {
 
 std::vector<FlightEvent> FlightRecorder::snapshot() const {
   const u64 head = head_.load(std::memory_order_acquire);
-  const u64 start = head > kCapacity ? head - kCapacity : 0;
+  const u64 start = head > capacity_ ? head - capacity_ : 0;
   std::vector<FlightEvent> out;
   out.reserve(static_cast<std::size_t>(head - start));
   for (u64 seq = start; seq < head; ++seq) {
-    const Slot& s = ring_[seq & (kCapacity - 1)];
-    if (s.seq.load(std::memory_order_acquire) != seq) continue;  // in flight
+    const Slot& s = ring_[seq & mask_];
+    // In flight, dropped, or already overwritten by a later lap.
+    if (s.tag.load(std::memory_order_acquire) != seq + 1) continue;
     FlightEvent e;
     e.seq = seq;
     e.trace_id = s.trace_id.load(std::memory_order_relaxed);
@@ -62,9 +71,11 @@ std::vector<FlightEvent> FlightRecorder::snapshot() const {
     e.rank = static_cast<i32>(static_cast<u32>(meta));
     e.kind = static_cast<FlightKind>((meta >> 32) & 0xff);
     e.detail = static_cast<unsigned char>((meta >> 40) & 0xff);
-    // A lapping writer invalidates seq before touching the payload, so a
-    // changed seq here means the fields above may be torn: drop the slot.
-    if (s.seq.load(std::memory_order_acquire) != seq) continue;
+    // A lapping writer claims the tag before touching the payload; the
+    // fence orders the loads above before the re-check, so a changed tag
+    // here means the fields may be torn: drop the slot.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (s.tag.load(std::memory_order_relaxed) != seq + 1) continue;
     out.push_back(e);
   }
   return out;
@@ -80,11 +91,13 @@ void FlightRecorder::dump_json(std::ostream& os,
   json::Value doc;
   doc.set("flight_recorder", json::Value("simas"));
   doc.set("reason", json::Value(reason));
-  doc.set("capacity", json::Value(static_cast<long long>(kCapacity)));
+  doc.set("capacity", json::Value(static_cast<long long>(capacity_)));
   doc.set("recorded_total", json::Value(static_cast<long long>(head)));
   doc.set("dropped",
           json::Value(static_cast<long long>(
-              head > kCapacity ? head - kCapacity : 0)));
+              head > capacity_ ? head - capacity_ : 0)));
+  doc.set("contended_waits",
+          json::Value(static_cast<long long>(contended_waits())));
 
   json::Value arr{json::Value::Array{}};
   for (const FlightEvent& e : events) {

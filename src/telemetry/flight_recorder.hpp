@@ -1,5 +1,5 @@
 #pragma once
-// Divergence flight recorder: a fixed-capacity, lock-free ring of
+// Divergence flight recorder: a fixed-capacity ring of
 // structured stream events that is always on at O(1) cost and is dumped
 // to JSON — with SiteTable file:line provenance — only when something
 // goes wrong (validator error, physics divergence, job failure) or when
@@ -9,20 +9,29 @@
 // analysis/stream_capture observer shapes: launches, reductions, syncs,
 // fusion breaks, memory hints, halo windows, data-motion events, plus
 // free-form notes for service-level incidents. Each event is a handful
-// of integers — no strings, no allocation — so recording is a single
-// fetch_add plus a few relaxed atomic stores.
+// of integers — no strings, no allocation — so recording is one
+// fetch_add, one load and a few atomic stores.
 //
 // Concurrency contract (TSan-clean by construction):
 //  * every slot field is a std::atomic of a primitive type, so no access
 //    is ever a data race;
-//  * a writer claims a sequence number with fetch_add(relaxed),
-//    invalidates the slot's seq, stores the payload relaxed, then
-//    publishes seq with a release store;
-//  * a reader (dump/snapshot) acquire-loads seq, reads the payload, and
-//    re-checks seq — a slot being overwritten by a lapping writer is
-//    detected and skipped, never mis-decoded.
-// Readers only run on the error path, so they can afford the re-check;
-// writers never wait on anything.
+//  * a writer takes a sequence number with fetch_add(relaxed) and claims
+//    its slot once the slot's tag shows the previous lap's event
+//    published (acquire load), marks it busy, stores the payload with
+//    release stores, and publishes the tag (seq + 1) with a release
+//    store. So no two writers ever fill one slot at once, and every slot
+//    ends up holding its newest lap: a quiescent snapshot holds the whole
+//    window;
+//  * a writer whose slot still holds an unpublished older lap — a writer
+//    stalled for a full ring lap between its fetch_add and its publish —
+//    yields until that writer publishes, and bumps contended_waits(). A
+//    second locked RMW to claim the slot (CAS) would double the cost of
+//    every record to spare this rare wait;
+//  * a reader (dump/snapshot) acquire-loads the tag, reads the payload,
+//    issues an acquire fence and re-checks the tag — a slot claimed by a
+//    lapping writer meanwhile is detected and skipped, never mis-decoded,
+//    on weakly ordered CPUs too.
+// Readers only run on the error path, so they can afford the re-check.
 
 #include <atomic>
 #include <iosfwd>
@@ -81,7 +90,9 @@ class FlightRecorder {
   /// production stream — enough history to see what led up to a fault.
   static constexpr std::size_t kCapacity = 8192;
 
-  FlightRecorder();
+  /// `capacity` must be a power of two. The process recorder uses
+  /// kCapacity; tests build small rings to force lapping.
+  explicit FlightRecorder(std::size_t capacity = kCapacity);
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
@@ -93,21 +104,30 @@ class FlightRecorder {
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Record one event. Lock-free, allocation-free, O(1). The narrow
-  /// fields are packed into two words so the hot path is one fetch_add
-  /// plus five relaxed stores plus the release publish.
+  /// Record one event. Allocation-free, O(1). The narrow fields are
+  /// packed into two words so the hot path is one fetch_add, one load,
+  /// six stores and the publish.
   void record(FlightKind kind, u64 trace_id, i32 rank, double t, i32 site,
               i32 array, i64 payload, unsigned char detail = 0) {
     if (!enabled_.load(std::memory_order_relaxed)) return;
     const u64 seq = head_.fetch_add(1, std::memory_order_relaxed);
-    Slot& s = ring_[seq & (kCapacity - 1)];
-    s.seq.store(kUnpublished, std::memory_order_relaxed);
-    s.trace_id.store(trace_id, std::memory_order_relaxed);
-    s.t.store(t, std::memory_order_relaxed);
-    s.payload.store(payload, std::memory_order_relaxed);
-    s.ids.store(pack_ids(site, array), std::memory_order_relaxed);
-    s.meta.store(pack_meta(rank, kind, detail), std::memory_order_relaxed);
-    s.seq.store(seq, std::memory_order_release);
+    Slot& s = ring_[seq & mask_];
+    // Claim: the slot is ours once the previous lap (seq - capacity) has
+    // published into it; tag 0 means never written (the first lap).
+    const u64 prev = seq >= capacity_ ? seq - capacity_ + 1 : 0;
+    if (s.tag.load(std::memory_order_acquire) != prev)
+      wait_for_previous_lap(s, prev);
+    s.tag.store(kBusy, std::memory_order_relaxed);
+    if (hook_ != nullptr) hook_(seq);
+    // Release payload stores (plain stores on x86): a reader whose load
+    // sees any of them sees the busy tag on its fenced re-check.
+    constexpr auto kRel = std::memory_order_release;
+    s.trace_id.store(trace_id, kRel);
+    s.t.store(t, kRel);
+    s.payload.store(payload, kRel);
+    s.ids.store(pack_ids(site, array), kRel);
+    s.meta.store(pack_meta(rank, kind, detail), kRel);
+    s.tag.store(seq + 1, kRel);
   }
 
   /// Convenience: record a service-level note (job failure, divergence).
@@ -118,6 +138,17 @@ class FlightRecorder {
 
   /// Total events recorded since construction (may exceed kCapacity).
   u64 recorded() const { return head_.load(std::memory_order_acquire); }
+  /// Records that had to wait for a writer stalled a full lap behind
+  /// (exported as flight.contended_waits).
+  u64 contended_waits() const {
+    return contended_waits_.load(std::memory_order_relaxed);
+  }
+
+  /// Test hook, called with a writer's seq between its claim and its
+  /// publish, so a test can park a writer there and force lapping. Set it
+  /// before any concurrent record(); nullptr (the default) disables it.
+  using Hook = void (*)(u64 seq);
+  void set_hook(Hook hook) { hook_ = hook; }
 
   /// Decode the currently retained window in sequence order. Slots being
   /// concurrently overwritten are skipped, not mis-decoded.
@@ -133,7 +164,9 @@ class FlightRecorder {
   bool dump_to_file(const std::string& path, const std::string& reason) const;
 
  private:
-  static constexpr u64 kUnpublished = ~u64{0};
+  /// Slot tag: 0 = never written, kBusy = a writer holds the slot,
+  /// otherwise seq + 1 of the event it holds.
+  static constexpr u64 kBusy = ~u64{0};
 
   /// site in the low word, array in the high word (both sign-extended on
   /// unpack so -1 round-trips).
@@ -152,7 +185,7 @@ class FlightRecorder {
   /// One cache line per slot: adjacent-slot false sharing would otherwise
   /// put two concurrent writers on the same line.
   struct alignas(64) Slot {
-    std::atomic<u64> seq{kUnpublished};
+    std::atomic<u64> tag{0};
     std::atomic<u64> trace_id{0};
     std::atomic<double> t{0.0};
     std::atomic<i64> payload{0};
@@ -160,9 +193,17 @@ class FlightRecorder {
     std::atomic<u64> meta{0};
   };
 
+  /// Slow path of the claim: yield until the stalled previous-lap writer
+  /// publishes `prev` into the slot.
+  void wait_for_previous_lap(const Slot& s, u64 prev);
+
+  std::size_t capacity_;
+  u64 mask_;
   std::unique_ptr<Slot[]> ring_;
   std::atomic<u64> head_{0};
+  std::atomic<u64> contended_waits_{0};
   std::atomic<bool> enabled_{true};
+  Hook hook_ = nullptr;
 };
 
 }  // namespace simas::telemetry

@@ -330,32 +330,49 @@ TEST(DcLegality, ReadAfterWriteAcrossFusedKernels) {
 // 4. Async / missing-sync checks.
 
 TEST(Async, AsyncCapableReductionSiteIsFlagged) {
-  par::Engine eng(validating_config());
-  field::Field f(eng, "an_async_a", 4, 4, 4);
-  f.enter_data();
   // A reduction site left async-capable: the engine hands the result to
-  // the host immediately, so an async launch would race the read.
-  static const par::KernelSite& bad =
-      SIMAS_SITE("an_async_red_bad", SiteKind::ScalarReduction, 0, false,
-                 false, /*async_capable=*/true);
-  (void)eng.reduce_sum(bad, par::Range3{0, 4, 0, 4, 0, 4},
-                       {par::in(f.id())},
-                       [&](idx i, idx j, idx k) { return f(i, j, k); });
-  const ValidationReport rep = eng.take_validation_report();
-  const analysis::Diagnostic* d = rep.find(Check::AsyncReductionNoWait);
-  ASSERT_NE(d, nullptr) << rep.to_string();
-  EXPECT_EQ(d->site, "an_async_red_bad");
+  // the host immediately, so an async launch would race the read. Only a
+  // toolchain that launches async has the hazard (ifx- and flang-like
+  // personalities launch synchronously), and the runtime report must
+  // agree with the static pass on which.
+  for (const par::CompilerPersonality p :
+       {par::CompilerPersonality::Nvfortran, par::CompilerPersonality::Ifx,
+        par::CompilerPersonality::Flang}) {
+    SCOPED_TRACE(par::personality_name(p));
+    par::EngineConfig cfg = validating_config();
+    cfg.personality = p;
+    cfg.capture_stream = true;
+    par::Engine eng(cfg);
+    field::Field f(eng, "an_async_a", 4, 4, 4);
+    f.enter_data();
+    static const par::KernelSite& bad =
+        SIMAS_SITE("an_async_red_bad", SiteKind::ScalarReduction, 0, false,
+                   false, /*async_capable=*/true);
+    (void)eng.reduce_sum(bad, par::Range3{0, 4, 0, 4, 0, 4},
+                         {par::in(f.id())},
+                         [&](idx i, idx j, idx k) { return f(i, j, k); });
+    const bool async = p == par::CompilerPersonality::Nvfortran;
+    const ValidationReport rep = eng.take_validation_report();
+    EXPECT_EQ(rep.has(Check::AsyncReductionNoWait), async)
+        << rep.to_string();
+    EXPECT_EQ(eng.static_verify().has(Check::AsyncReductionNoWait), async);
+    if (async) {
+      const analysis::Diagnostic* d = rep.find(Check::AsyncReductionNoWait);
+      ASSERT_NE(d, nullptr) << rep.to_string();
+      EXPECT_EQ(d->site, "an_async_red_bad");
+    }
 
-  // The fix: declare the site synchronous.
-  static const par::KernelSite& good =
-      SIMAS_SITE("an_async_red_good", SiteKind::ScalarReduction, 0, false,
-                 false, /*async_capable=*/false);
-  (void)eng.reduce_sum(good, par::Range3{0, 4, 0, 4, 0, 4},
-                       {par::in(f.id())},
-                       [&](idx i, idx j, idx k) { return f(i, j, k); });
-  const ValidationReport rep2 = eng.take_validation_report();
-  EXPECT_FALSE(rep2.has(Check::AsyncReductionNoWait)) << rep2.to_string();
-  scrub(eng, {&f});
+    // The fix: declare the site synchronous.
+    static const par::KernelSite& good =
+        SIMAS_SITE("an_async_red_good", SiteKind::ScalarReduction, 0, false,
+                   false, /*async_capable=*/false);
+    (void)eng.reduce_sum(good, par::Range3{0, 4, 0, 4, 0, 4},
+                         {par::in(f.id())},
+                         [&](idx i, idx j, idx k) { return f(i, j, k); });
+    const ValidationReport rep2 = eng.take_validation_report();
+    EXPECT_FALSE(rep2.has(Check::AsyncReductionNoWait)) << rep2.to_string();
+    scrub(eng, {&f});
+  }
 }
 
 TEST(Async, HostPullWithoutDeviceSyncIsFlagged) {

@@ -48,9 +48,11 @@ TEST(RunExperiment, ProducesValidatedResult) {
   cfg.grid = bench_grid();
   const auto res = run_experiment(cfg);
   ASSERT_EQ(res.ranks.size(), 2u);
-  EXPECT_GT(res.wall_minutes, 0.0);
-  EXPECT_GE(res.mpi_minutes, 0.0);
-  EXPECT_LT(res.mpi_minutes, res.wall_minutes);
+  const double wall = res.metrics.gauge("time.wall_minutes");
+  const double mpi = res.metrics.gauge("mpi.exposed_minutes");
+  EXPECT_GT(wall, 0.0);
+  EXPECT_GE(mpi, 0.0);
+  EXPECT_LT(mpi, wall);
   // Physics sanity travels with every experiment.
   EXPECT_LT(res.final_diag.max_div_b, 1e-10);
   EXPECT_GT(res.final_diag.total_mass, 0.0);
@@ -80,9 +82,9 @@ TEST(RunExperiment, MoreRanksFasterForManualCodes) {
   cfg.version = variants::CodeVersion::A;
   cfg.grid = bench_grid();
   cfg.nranks = 1;
-  const double t1 = run_experiment(cfg).wall_minutes;
+  const double t1 = run_experiment(cfg).metrics.gauge("time.wall_minutes");
   cfg.nranks = 4;
-  const double t4 = run_experiment(cfg).wall_minutes;
+  const double t4 = run_experiment(cfg).metrics.gauge("time.wall_minutes");
   EXPECT_LT(t4, t1 / 2.0);
 }
 

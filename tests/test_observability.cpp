@@ -158,12 +158,18 @@ TEST(ObservabilitySpans, RunExperimentFillsCompleteRankSpans) {
     EXPECT_EQ(rank.ctx.trace_id, cfg.trace.trace_id);
     EXPECT_GT(rank.phases.modeled_seconds, 0.0);
   }
-  // The dotted metric families ride alongside the deprecated flat fields.
+  // The run-level outputs are dotted metric families: the slowest rank's
+  // modeled step, projected to the paper's problem size.
+  const bench_support::RankTiming* worst = &result.ranks.front();
+  for (const bench_support::RankTiming& r : result.ranks)
+    if (r.seconds_per_step > worst->seconds_per_step) worst = &r;
   EXPECT_GT(result.metrics.gauge("time.wall_minutes"), 0.0);
-  EXPECT_EQ(result.metrics.gauge("time.wall_minutes"), result.wall_minutes);
-  EXPECT_EQ(result.metrics.gauge("mpi.exposed_minutes"), result.mpi_minutes);
+  EXPECT_EQ(result.metrics.gauge("time.wall_minutes"),
+            cfg.scale.minutes_for(worst->seconds_per_step));
+  EXPECT_EQ(result.metrics.gauge("mpi.exposed_minutes"),
+            cfg.scale.minutes_for(worst->mpi_seconds_per_step));
   EXPECT_EQ(result.metrics.gauge("mpi.hidden_minutes"),
-            result.hidden_mpi_minutes);
+            cfg.scale.minutes_for(worst->hidden_mpi_seconds_per_step));
 }
 
 // ---------------------------------------------------------------------
@@ -242,6 +248,53 @@ TEST(ObservabilityFlightRing, ContendedWritersNeverTearASnapshot) {
             static_cast<u64>(kWriters) * kPerWriter);
   // A final quiescent snapshot decodes the full retained window.
   EXPECT_EQ(fr.snapshot().size(), FlightRecorder::kCapacity);
+}
+
+// Forced lapping: a 4-slot test recorder and a hook that parks the writer
+// of seq 0 between its claim and its publish, so a writer lands on a slot
+// still held by the previous lap on every test run, not on scheduler luck.
+struct ParkSeqZero {
+  static inline std::atomic<bool> parked{false};
+  static inline std::atomic<bool> released{false};
+
+  static void hook(u64 seq) {
+    if (seq != 0) return;
+    parked.store(true);
+    while (!released.load()) std::this_thread::yield();
+  }
+};
+
+TEST(ObservabilityFlightRing, ForcedLapWaitsForTheParkedSlotHolder) {
+  FlightRecorder fr(4);
+  fr.set_hook(&ParkSeqZero::hook);
+  std::thread holder(
+      [&fr] { fr.record(FlightKind::Launch, 1, 0, 0.0, -1, -1, 100); });
+  while (!ParkSeqZero::parked.load()) std::this_thread::yield();
+  // Seqs 1..4 lap the parked holder: seq 4 lands on the slot seq 0 still
+  // holds, so its writer must wait for seq 0's publish.
+  std::thread lapper([&fr] {
+    for (i64 seq = 1; seq <= 4; ++seq)
+      fr.record(FlightKind::Launch, 2, 0, 0.0, -1, -1, 100 + seq);
+  });
+  while (fr.recorded() < 5) std::this_thread::yield();
+  // Meanwhile a snapshot skips the held slot; it never decodes it.
+  const auto during = fr.snapshot();
+  ASSERT_EQ(during.size(), 3u);
+  for (const telemetry::FlightEvent& e : during)
+    EXPECT_EQ(e.payload, 100 + static_cast<i64>(e.seq));
+  ParkSeqZero::released.store(true);
+  holder.join();
+  lapper.join();
+  // Quiescent: exactly the window [1, 4], each event written whole by the
+  // lapping writer, and the one wait counted.
+  const auto after = fr.snapshot();
+  ASSERT_EQ(after.size(), 4u);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].seq, i + 1);
+    EXPECT_EQ(after[i].trace_id, 2u);
+    EXPECT_EQ(after[i].payload, 100 + static_cast<i64>(after[i].seq));
+  }
+  EXPECT_EQ(fr.contended_waits(), 1u);
 }
 
 // ---------------------------------------------------------------------

@@ -83,7 +83,7 @@ TEST(PortabilityMatrix, EveryCellMatchesGoldenCellPhysics) {
             << gpusim::device_class_name(device) << "/"
             << par::personality_tag(personality)
             << " diverged from the golden a100/nvf cell";
-        EXPECT_GT(res.wall_minutes, 0.0);
+        EXPECT_GT(res.metrics.gauge("time.wall_minutes"), 0.0);
       }
     }
   }
@@ -107,7 +107,8 @@ TEST(PortabilityMatrix, CapacityStarvedDeviceNeverFasterUnderUm) {
       run_experiment(cell_config(variants::CodeVersion::ADU, starved,
                                  par::CompilerPersonality::Nvfortran));
   EXPECT_TRUE(same_physics(tight.final_diag, roomy.final_diag));
-  EXPECT_GE(tight.wall_minutes, roomy.wall_minutes);
+  EXPECT_GE(tight.metrics.gauge("time.wall_minutes"),
+            roomy.metrics.gauge("time.wall_minutes"));
   EXPECT_GT(tight.metrics.counter("um.evictions"), 0);
 }
 
@@ -121,7 +122,8 @@ TEST(PortabilityMatrix, FusionlessPersonalityNeverFasterOnAccVersion) {
                                           gpusim::DeviceClass::A100,
                                           par::CompilerPersonality::Flang);
   EXPECT_TRUE(same_physics(flang.final_diag, nvf.final_diag));
-  EXPECT_GE(flang.wall_minutes, nvf.wall_minutes);
+  EXPECT_GE(flang.metrics.gauge("time.wall_minutes"),
+            nvf.metrics.gauge("time.wall_minutes"));
 }
 
 TEST(PortabilityMatrix, UmUnsupportedDeviceRunsZeroCopy) {

@@ -245,8 +245,9 @@ void expect_same_run(const bench_support::ExperimentResult& a,
   EXPECT_EQ(std::memcmp(&a.final_diag, &b.final_diag, sizeof(a.final_diag)),
             0)
       << "job " << job << ": diagnostics differ";
-  EXPECT_EQ(a.wall_minutes, b.wall_minutes) << "job " << job;
-  EXPECT_EQ(a.mpi_minutes, b.mpi_minutes) << "job " << job;
+  for (const char* gauge : {"time.wall_minutes", "mpi.exposed_minutes"})
+    EXPECT_EQ(a.metrics.gauge(gauge), b.metrics.gauge(gauge))
+        << "job " << job << ": " << gauge;
   ASSERT_EQ(a.ranks.size(), b.ranks.size());
   for (std::size_t r = 0; r < a.ranks.size(); ++r) {
     EXPECT_EQ(a.ranks[r].seconds_per_step, b.ranks[r].seconds_per_step)

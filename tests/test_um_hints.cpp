@@ -108,10 +108,10 @@ TEST(MemHintOps, ManualMemoryEngineRecordsNoHints) {
   cfg.memory = gpusim::MemoryMode::Manual;
   par::Engine eng(cfg);
   field::Field f(eng, "uh_manual", 4, 4, 4);
-  const i64 before = eng.stream_capture()->ops();
+  const std::size_t before = eng.stream_capture()->events().size();
   eng.mem_prefetch(f.id(), fbytes(f));
   eng.mem_advise(f.id(), MemHint::AdvisePreferredHost);
-  EXPECT_EQ(eng.stream_capture()->ops(), before);
+  EXPECT_EQ(eng.stream_capture()->events().size(), before);
   scrub(eng);
 }
 
@@ -120,19 +120,19 @@ TEST(MemHintOps, HostEngineRecordsNoHints) {
   cfg.gpu = false;
   par::Engine eng(cfg);
   field::Field f(eng, "uh_host", 4, 4, 4);
-  const i64 before = eng.stream_capture()->ops();
+  const std::size_t before = eng.stream_capture()->events().size();
   eng.mem_prefetch(f.id(), fbytes(f));
-  EXPECT_EQ(eng.stream_capture()->ops(), before);
+  EXPECT_EQ(eng.stream_capture()->events().size(), before);
   scrub(eng);
 }
 
 TEST(MemHintOps, UnifiedGpuEngineRecordsAndCostsHints) {
   par::Engine eng(unified_config());
   field::Field f(eng, "uh_um", 4, 4, 4);
-  const i64 before = eng.stream_capture()->ops();
+  const std::size_t before = eng.stream_capture()->events().size();
   eng.mem_prefetch(f.id(), fbytes(f));
   eng.mem_advise(f.id(), MemHint::AdviseReadMostly);
-  EXPECT_EQ(eng.stream_capture()->ops(), before + 2);
+  EXPECT_EQ(eng.stream_capture()->events().size(), before + 2);
   const auto& um = eng.memory().um_stats();
   EXPECT_EQ(um.prefetches, 1);
   EXPECT_EQ(um.advises, 1);
