@@ -186,7 +186,8 @@ SolverPoint run_solver(const std::string& workload,
     if (best < 0.0 || result.host_seconds_per_step < best) {
       best = result.host_seconds_per_step;
       pt.modeled_seconds_per_step = result.ranks[0].seconds_per_step;
-      pt.kernel_launches = result.ranks[0].counters.kernel_launches;
+      pt.kernel_launches =
+          result.ranks[0].metrics.counter("engine.launches");
     }
   }
   pt.host_seconds_per_step = best;

@@ -51,9 +51,10 @@ void triad(benchmark::State& state, par::LoopModel loops,
     benchmark::DoNotOptimize(c.data());
   }
   // Modeled bandwidth: bytes per modeled second on the simulated device.
-  const auto& counters = eng.counters();
+  const i64 bytes_touched =
+      eng.metrics_registry().counter("engine.bytes_touched").value();
   const double modeled_bw =
-      static_cast<double>(counters.bytes_touched) / eng.ledger().now() / 1e9;
+      static_cast<double>(bytes_touched) / eng.ledger().now() / 1e9;
   state.counters["modeled_GBps"] = modeled_bw;
   state.SetBytesProcessed(static_cast<i64>(state.iterations()) * kN * 3 * 8);
 }

@@ -70,12 +70,14 @@ int main(int argc, char** argv) {
     }
     table.print(std::cout);
 
-    const auto& counters = engine.counters();
+    const auto m = engine.metrics_snapshot();
     std::cout << "\nexecution-model summary (" << steps << " steps):\n"
-              << "  logical loops:    " << counters.loops_executed << "\n"
-              << "  kernel launches:  " << counters.kernel_launches << "\n"
-              << "  fused launches:   " << counters.fused_launches << "\n"
-              << "  reduction loops:  " << counters.reduction_loops << "\n"
+              << "  logical loops:    " << m.counter("engine.loops") << "\n"
+              << "  kernel launches:  " << m.counter("engine.launches") << "\n"
+              << "  fused launches:   " << m.counter("engine.fused_launches")
+              << "\n"
+              << "  reduction loops:  " << m.counter("engine.reduction_loops")
+              << "\n"
               << "  modeled time:     " << engine.ledger().now() << " s ("
               << engine.ledger().mpi_time() << " s MPI)\n";
   });

@@ -64,17 +64,8 @@ FoldedList fold_accesses(const par::AccessList& accesses) {
 
 }  // namespace
 
-StreamChecker::StreamChecker(const StaticModel& model, NameFn names)
-    : names_(std::move(names)) {
-  manual_gpu_ = model.memory == gpusim::MemoryMode::Manual && model.gpu;
-  unified_gpu_ = model.memory == gpusim::MemoryMode::Unified && model.gpu;
-  acc_async_ =
-      model.loops == par::LoopModel::Acc && model.async_enabled && model.gpu;
-  acc_fusion_ =
-      model.loops == par::LoopModel::Acc && model.fusion_enabled && model.gpu;
-  honors_prefetch_ = model.honors_mem_prefetch;
-  honors_advise_ = model.honors_mem_advise;
-}
+StreamChecker::StreamChecker(const par::Lowering& lowering, NameFn names)
+    : lowering_(lowering), names_(std::move(names)) {}
 
 void StreamChecker::on_event(const par::OpEvent& ev) {
   switch (ev.kind) {
@@ -176,7 +167,7 @@ void StreamChecker::on_mem_hint(const par::MemHintOp& mh) {
       // accesses, so "evicted" residency is the intended state. A
       // toolchain that ignores advise leaves the array unpinned — the
       // hint grants no exemption there.
-      if (honors_advise_) {
+      if (lowering_.honors_mem_advise) {
         st.preferred_host = true;
         st.prefetch_pending = false;
         st.paged_to_host = false;
@@ -207,11 +198,10 @@ void StreamChecker::on_op(const par::StreamOp& op) {
   const std::string& site = ko.site->name;
   const FoldedList folded = fold_accesses(ko.accesses);
 
-  // Fusion-chain bookkeeping, mirroring AccScheduler::fuse_with_previous.
+  // Fusion-chain bookkeeping under the scheduler's own fusion rule.
   bool fused = false;
   if (kind == par::OpKind::Launch) {
-    fused = acc_fusion_ && ko.site->fusion_group != 0 &&
-            ko.site->fusion_group == last_group_ && op_slot_ < 255;
+    fused = lowering_.fuses(*ko.site, last_group_) && op_slot_ < kMaxChainSlot;
     last_group_ = ko.site->fusion_group;
     if (fused) {
       ++op_slot_;
@@ -224,7 +214,7 @@ void StreamChecker::on_op(const par::StreamOp& op) {
     // Reductions are synchronous under every model: they end the chain
     // and drain the async queue before the host consumes the result.
     reset_chain();
-    if (acc_async_ && ko.site->async_capable) {
+    if (lowering_.launches_async(*ko.site)) {
       diagnose(Check::AsyncReductionNoWait, site, {},
                "reduction result is consumed on the host immediately, but "
                "the site is declared async-capable: under async launches "
@@ -235,8 +225,8 @@ void StreamChecker::on_op(const par::StreamOp& op) {
     drain_async_queue();
   }
 
-  const bool launch_async = kind == par::OpKind::Launch && acc_async_ &&
-                            ko.site->async_capable;
+  const bool launch_async =
+      kind == par::OpKind::Launch && lowering_.launches_async(*ko.site);
 
   for (const FoldedAccess& a : folded) {
     ArrState& st = state_for(a.id);
@@ -288,7 +278,7 @@ void StreamChecker::on_op(const par::StreamOp& op) {
     // demand-migrates the whole footprint back (ping-pong).
     // PreferredHost-advised arrays are exempt from the latter: their
     // device touches are intended zero-copy remote accesses.
-    if (unified_gpu_) {
+    if (lowering_.unified_gpu) {
       if (st.prefetch_pending) {
         bool covered = true;
         if (a.read) covered = span_covers(st.prefetch_span, a.read_span);
@@ -296,7 +286,7 @@ void StreamChecker::on_op(const par::StreamOp& op) {
           covered = covered && span_covers(st.prefetch_span, a.write_span);
         if (!covered) {
           diagnose(Check::PrefetchSpanMismatch, site, st.name,
-                   honors_prefetch_
+                   lowering_.honors_mem_prefetch
                        ? "device prefetch span does not cover this "
                          "kernel's declared access span: the uncovered "
                          "pages still demand-fault, so the prefetch hides "
@@ -308,12 +298,12 @@ void StreamChecker::on_op(const par::StreamOp& op) {
                          "the hint is inert and the mismatch costs "
                          "nothing here — fix it for toolchains that "
                          "honor it)",
-                   where, /*demoted=*/!honors_prefetch_);
+                   where, /*demoted=*/!lowering_.honors_mem_prefetch);
         }
         st.prefetch_pending = false;
       } else if (st.paged_to_host && !st.preferred_host) {
         diagnose(Check::UseAfterEvict, site, st.name,
-                 honors_prefetch_
+                 lowering_.honors_mem_prefetch
                      ? "kernel accesses an array prefetched to the host "
                        "with no intervening device prefetch: every touch "
                        "is a fresh demand migration back (ping-pong) — "
@@ -325,7 +315,7 @@ void StreamChecker::on_op(const par::StreamOp& op) {
                        "modeled toolchain ignores prefetch hints, so no "
                        "eviction happened and no ping-pong occurs here — "
                        "fix it for toolchains that honor it)",
-                 where, /*demoted=*/!honors_prefetch_);
+                 where, /*demoted=*/!lowering_.honors_mem_prefetch);
       }
       // Either way the demand touch re-establishes device residency.
       st.paged_to_host = false;
@@ -348,7 +338,7 @@ void StreamChecker::on_op(const par::StreamOp& op) {
   }
 
   // Manual-mode coherence machine.
-  if (manual_gpu_) {
+  if (lowering_.manual_gpu) {
     for (const par::Access& a : ko.accesses) {
       ArrState& st = state_for(a.id);
       if (!st.on_device) {
@@ -483,8 +473,8 @@ void StreamChecker::on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) {
 }
 
 ValidationReport verify_stream(const StreamCapture& capture,
-                               const StaticModel& model) {
-  StreamChecker checker(model, [&capture](gpusim::ArrayId id) {
+                               const par::Lowering& lowering) {
+  StreamChecker checker(lowering, [&capture](gpusim::ArrayId id) {
     return capture.array_name(id);
   });
   capture.replay(checker);

@@ -43,45 +43,18 @@
 
 namespace simas::analysis {
 
-/// The model facts the checker resolves from an engine configuration,
-/// folded with the compiler personality's lowering: a toolchain that never
-/// fuses cannot have fused-chain races, one that never launches async has
-/// no async queue, and one that ignores a hint class turns that class's
-/// correctness findings into notes.
-struct StaticModel {
-  par::LoopModel loops = par::LoopModel::Acc;
-  gpusim::MemoryMode memory = gpusim::MemoryMode::Manual;
-  bool gpu = true;
-  bool fusion_enabled = true;
-  bool async_enabled = true;
-  /// Hint lowering of the modeled toolchain. When a class is ignored the
-  /// recorded MemHintOps are inert at run time, so the corresponding
-  /// hint-correctness findings (PrefetchSpanMismatch, UseAfterEvict)
-  /// downgrade to Info — the span may be wrong, but the hint buys nothing
-  /// either way under this personality.
-  bool honors_mem_prefetch = true;
-  bool honors_mem_advise = true;
-
-  static StaticModel from(const par::EngineConfig& cfg) {
-    const par::PersonalityTraits t =
-        par::personality_traits(cfg.personality);
-    return StaticModel{cfg.loops,
-                       cfg.memory,
-                       cfg.gpu,
-                       cfg.fusion_enabled && t.fuses_acc_chains,
-                       cfg.async_enabled && t.async_launches,
-                       t.honors_mem_prefetch,
-                       t.honors_mem_advise};
-  }
-};
-
 class StreamChecker final : public par::OpObserver {
  public:
   /// Resolves an array's registered name the first time the stream
   /// mentions it.
   using NameFn = std::function<std::string(gpusim::ArrayId)>;
 
-  StreamChecker(const StaticModel& model, NameFn names);
+  /// Check a stream recorded under `lowering` — the same value the
+  /// engine's Scheduler charges under (par::lowering): a toolchain that
+  /// never fuses cannot have fused-chain races, one that never launches
+  /// async has no async queue, and one that ignores a hint class turns
+  /// that class's correctness findings into notes.
+  StreamChecker(const par::Lowering& lowering, NameFn names);
 
   void on_event(const par::OpEvent& ev) override;
   /// Drain the findings so far (ops_checked counts every op seen).
@@ -89,7 +62,7 @@ class StreamChecker final : public par::OpObserver {
 
   // ---- Chain position of the last op, for shadow element tags ----
   /// Fusion chain of the last op: one id per ACC chain (or per kernel
-  /// when the model cannot fuse), bumped by every chain break.
+  /// when the lowering cannot fuse), bumped by every chain break.
   u64 chain_id() const { return chain_id_; }
   /// Position of the last kernel within its chain.
   u64 op_slot() const { return op_slot_; }
@@ -135,13 +108,13 @@ class StreamChecker final : public par::OpObserver {
   void on_mem_hint(const par::MemHintOp& mh);
   void on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id);
 
+  /// Shadow element tags encode a kernel's chain position in 8 bits, so
+  /// a fused chain is cut after this many members (a tag limit, not a
+  /// lowering rule).
+  static constexpr u64 kMaxChainSlot = 255;
+
+  par::Lowering lowering_;
   NameFn names_;
-  bool manual_gpu_ = false;
-  bool unified_gpu_ = false;
-  bool acc_async_ = false;
-  bool acc_fusion_ = false;
-  bool honors_prefetch_ = true;
-  bool honors_advise_ = true;
 
   std::unordered_map<gpusim::ArrayId, ArrState> arrays_;
   int last_group_ = 0;
@@ -158,6 +131,6 @@ class StreamChecker final : public par::OpObserver {
 /// Pure function of its arguments: no kernel executes, no engine state is
 /// touched.
 ValidationReport verify_stream(const StreamCapture& capture,
-                               const StaticModel& model);
+                               const par::Lowering& lowering);
 
 }  // namespace simas::analysis

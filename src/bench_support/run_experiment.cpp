@@ -285,7 +285,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
         cfg.measure_steps;
     timing.hidden_mpi_seconds_per_step =
         (engine.ledger().hidden_mpi_time() - hidden0) / cfg.measure_steps;
-    timing.counters = engine.counters();
     timing.graph = engine.graph_stats();
     timing.metrics = engine.metrics_snapshot();
 
@@ -324,7 +323,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
       result.pfss = pfss;
       if (cfg.boundary_out != nullptr) cfg.boundary_out->info = pfss;
       if (cfg.capture_trace) {
-        result.trace = engine.tracer();
         result.trace_t0 = t0;
         result.trace_t1 = t0 + dt_step * cfg.measure_steps;
       }

@@ -175,7 +175,6 @@ struct RankTiming {
   /// overlap_halo, and ~zero for the unified-memory versions, whose
   /// staged exchanges serialize with compute.
   double hidden_mpi_seconds_per_step = 0.0;
-  par::EngineCounters counters;
   par::GraphStats graph;
   /// Full per-rank metrics snapshot (engine.* / mem.* / halo.* / time.* /
   /// graph.* / pool.* families; see DESIGN.md §13).
@@ -192,12 +191,11 @@ struct ExperimentResult {
   /// PFSS convergence record when ExperimentConfig::boundary.enabled
   /// (copied from the injected cache entry when the solve was skipped).
   mhd::PfssResult pfss;
-  trace::Recorder trace;              ///< rank 0 timeline, if captured
-  double trace_t0 = 0.0, trace_t1 = 0.0;  ///< measured window (modeled s)
-  /// Every rank's timeline (capture_trace records all ranks; trace above
-  /// stays the rank-0 view for the existing consumers). One entry per
-  /// rank, indexed by rank — feed to telemetry::write_perfetto_json with
-  /// one pid per rank.
+  /// Rank 0's measured window (modeled s) in rank_traces[0], when
+  /// captured.
+  double trace_t0 = 0.0, trace_t1 = 0.0;
+  /// Every rank's timeline (capture_trace records all ranks), indexed by
+  /// rank — feed to telemetry::write_perfetto_json with one pid per rank.
   std::vector<trace::Recorder> rank_traces;
   /// All-rank merged views (per-metric merge policy / matched by site).
   /// The run-level outputs live here too, as Max-merged gauges projected

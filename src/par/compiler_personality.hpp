@@ -29,10 +29,10 @@ enum class CompilerPersonality {
   Flang = 2,      ///< flang-like: atomic-block reductions, hints ignored
 };
 
-/// How a personality lowers the constructs the schedulers account for.
-/// All fields are *policy* inputs — they gate launch merging, pick a
-/// reduction traffic factor, or drop a hint — and never reach a kernel
-/// body.
+/// How a personality lowers the constructs the scheduler accounts for.
+/// All fields are *policy* inputs, folded into par::Lowering — they gate
+/// launch merging, pick a reduction traffic factor, or drop a hint — and
+/// never reach a kernel body.
 struct PersonalityTraits {
   CompilerPersonality personality = CompilerPersonality::Nvfortran;
 

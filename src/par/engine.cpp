@@ -20,7 +20,9 @@ static_assert(static_cast<int>(telemetry::FlightKind::MemHint) ==
 Engine::Engine(EngineConfig cfg)
     : cfg_(cfg),
       cost_(cfg.device),
-      mem_(cfg.memory, &cost_, &ledger_) {
+      mem_(cfg.memory, &cost_, &ledger_),
+      sched_(SchedulerContext{&cfg_, &cost_, &ledger_, &mem_, &tracer_,
+                              &metrics_, &profiler_}) {
   const SimContext& ctx = cfg_.ctx != nullptr ? *cfg_.ctx
                                               : SimContext::process();
   // Execution threads: borrow the configured/shared pool, else own one.
@@ -50,9 +52,6 @@ Engine::Engine(EngineConfig cfg)
     cfg_.validate_fatal = true;
   }
   metrics_.bind(registry_);
-  sched_ = make_scheduler(cfg_.loops,
-                          SchedulerContext{&cfg_, &cost_, &ledger_, &mem_,
-                                           &tracer_, &metrics_, &profiler_});
   // Verified-stream certificates: a certificate for this scope means an
   // engine of identical shape already ran its full stream under both the
   // runtime validator and the static verifier, clean. Skip the O(cells)
@@ -75,7 +74,7 @@ Engine::Engine(EngineConfig cfg)
   if (cfg_.validate && !certified_) {
     // The checker sees each op before the validator reads its chain.
     checker_ = std::make_unique<analysis::StreamChecker>(
-        analysis::StaticModel::from(cfg_),
+        sched_.lowering(),
         [this](gpusim::ArrayId id) { return mem_.record(id).name; });
     validator_ = std::make_unique<analysis::Validator>(*checker_, mem_);
     observers_.push_back(checker_.get());
@@ -211,7 +210,7 @@ void Engine::finalize_certificate(bool clean) {
 
 analysis::ValidationReport Engine::static_verify() const {
   if (capture_ == nullptr) return {};
-  return analysis::verify_stream(*capture_, analysis::StaticModel::from(cfg_));
+  return analysis::verify_stream(*capture_, sched_.lowering());
 }
 
 bool Engine::certified_stream_matches() const {
@@ -354,7 +353,7 @@ void Engine::submit(StreamOp op) {
     live_hash_ = hash_op_signature(live_hash_, op);
     ++live_ops_;
   }
-  sched_->consume(op);
+  sched_.consume(op);
 }
 
 /// The live stream no longer matches the capture: stop replaying (the
@@ -363,7 +362,7 @@ void Engine::submit(StreamOp op) {
 void Engine::diverge() {
   graph_stats_.divergences++;
   active_graph_->invalidate();
-  sched_->set_replay_active(false);
+  sched_.set_replay_active(false);
   graph_mode_ = GraphMode::Diverged;
 }
 
@@ -385,7 +384,7 @@ void Engine::graph_begin(const std::string& name) {
   if (active_graph_->captured()) {
     graph_mode_ = GraphMode::Replay;
     replay_cursor_ = 0;
-    sched_->set_replay_active(true);
+    sched_.set_replay_active(true);
     graph_stats_.replays++;
     // One submission launches the whole instantiated graph
     // (cudaGraphLaunch): a single launch overhead, not async-hidden.
@@ -417,7 +416,7 @@ void Engine::graph_end() {
         cfg_.graph_cache->publish(cfg_.graph_cache_scope, *active_graph_);
       break;
     case GraphMode::Replay:
-      sched_->set_replay_active(false);
+      sched_.set_replay_active(false);
       if (replay_cursor_ != active_graph_->size()) {
         // The pass ended before exhausting the capture: shorter sequence.
         graph_stats_.divergences++;
@@ -504,7 +503,7 @@ telemetry::MetricsSnapshot Engine::metrics_snapshot() {
 
 GraphStats Engine::graph_stats() const {
   GraphStats s = graph_stats_;
-  s.kernel_launch_seconds_saved = sched_->replay_launch_saved();
+  s.kernel_launch_seconds_saved = sched_.replay_launch_saved();
   return s;
 }
 

@@ -4,23 +4,24 @@
 //
 // One Engine per simulated rank. The Engine is a *recording front-end*:
 // every parallel loop, reduction, sync and fusion break is reified as a
-// kernel-stream IR op (par/stream.hpp) and handed to the active Scheduler
-// backend (par/scheduler.hpp), which performs all modeled-time accounting.
-// Kernels *execute* on host threads with deterministic partitioning
-// (results are independent of thread count and execution model), while the
-// scheduler *accounts* modeled time on the configured device:
+// kernel-stream IR op (par/stream.hpp) and handed to the engine's one
+// Scheduler (par/scheduler.hpp), which performs all modeled-time
+// accounting. Kernels *execute* on host threads with deterministic
+// partitioning (results are independent of thread count and execution
+// model), while the scheduler *accounts* modeled time on the configured
+// device under the engine's par::Lowering — the code version's loop model
+// folded with the device, memory mode, ablation toggles and compiler
+// personality, resolved once at construction:
 //
-//  * LoopModel::Acc    -> AccScheduler  — OpenACC analog: consecutive
-//    kernels in the same fusion group merge into one launch (kernel
-//    fusion); launches can be asynchronous (latency partially hidden).
-//    Reductions use the `reduction` clause; array reductions use atomics.
-//  * LoopModel::Dc2018 -> DcScheduler   — `do concurrent` within Fortran
-//    2018: plain loops become DC (one kernel per loop, synchronous —
-//    kernel fission); reductions are NOT expressible and remain OpenACC
-//    (paper Code 2/3).
-//  * LoopModel::Dc2x   -> Dc2xScheduler — Fortran 202X preview: adds the
-//    `reduce` clause; array reductions flip the loop order (paper
-//    Listing 5, Code 5/6).
+//  * LoopModel::Acc    — OpenACC analog: consecutive kernels in the same
+//    fusion group merge into one launch (kernel fusion); launches can be
+//    asynchronous (latency partially hidden). Reductions use the
+//    `reduction` clause; array reductions use atomics.
+//  * LoopModel::Dc2018 — `do concurrent` within Fortran 2018: plain loops
+//    become DC (one kernel per loop, synchronous — kernel fission);
+//    reductions are NOT expressible and remain OpenACC (paper Code 2/3).
+//  * LoopModel::Dc2x   — Fortran 202X preview: adds the `reduce` clause;
+//    array reductions flip the loop order (paper Listing 5, Code 5/6).
 //
 // On top of the IR, the Engine offers CUDA-Graph-style capture/replay
 // (EngineConfig::graph_replay): a GraphScope names a repeated op sequence
@@ -32,7 +33,8 @@
 // begin/end windows — reaches its observers as one ordered stream of
 // par::OpEvents through a single list: the flight recorder (always), the
 // StreamCapture (cfg.capture_stream), and under validation the
-// StreamChecker followed by the shadow Validator. See DESIGN.md §10.
+// StreamChecker (built from the same Lowering as the scheduler) followed
+// by the shadow Validator. See DESIGN.md §9–§10.
 
 #include <algorithm>
 #include <initializer_list>
@@ -85,19 +87,6 @@ class Engine : private gpusim::MemoryObserver {
   gpusim::CostModel& cost() { return cost_; }
   gpusim::MemoryManager& memory() { return mem_; }
   trace::Recorder& tracer() { return tracer_; }
-  const Scheduler& scheduler() const { return *sched_; }
-
-  /// Snapshot view of the engine.* counter family, synthesized from the
-  /// telemetry registry (the store of record).
-  EngineCounters counters() const {
-    EngineCounters c;
-    c.kernel_launches = metrics_.launches.value();
-    c.loops_executed = metrics_.loops.value();
-    c.fused_launches = metrics_.fused.value();
-    c.reduction_loops = metrics_.reductions.value();
-    c.bytes_touched = metrics_.bytes_touched.value();
-    return c;
-  }
 
   /// This rank's metrics registry. Subsystems owned by the rank (the halo
   /// exchanger) register their own metrics here at construction time.
@@ -241,7 +230,7 @@ class Engine : private gpusim::MemoryObserver {
   //
   // Executed as a flipped loop (outer over i, inner reduce) for
   // determinism under every model; the *accounting* follows the active
-  // scheduler: ACC / DC+atomic issue one kernel with atomic traffic, DC2X
+  // lowering: ACC / DC+atomic issue one kernel with atomic traffic, DC2X
   // issues the flipped loop (paper Listing 3 -> 4 -> 5).
   template <class F>
   void array_reduce(const KernelSite& site, Range3 r,
@@ -586,7 +575,7 @@ class Engine : private gpusim::MemoryObserver {
   telemetry::EngineMetrics metrics_;
   telemetry::SiteProfiler profiler_;
   gpusim::TimeCategory kernel_category_ = gpusim::TimeCategory::Compute;
-  std::unique_ptr<Scheduler> sched_;
+  Scheduler sched_;
   /// Event-trace recorder; feeds static_verify().
   std::unique_ptr<analysis::StreamCapture> capture_;
   /// Validation: the live op-level checker and the shadow validator that

@@ -13,6 +13,31 @@ const char* loop_model_name(LoopModel m) {
   return "?";
 }
 
+Lowering lowering(const EngineConfig& cfg) {
+  const PersonalityTraits t = personality_traits(cfg.personality);
+  const bool acc_gpu = cfg.gpu && cfg.loops == LoopModel::Acc;
+  Lowering l;
+  // Fusion chains and async queues exist only where the toolchain merges
+  // consecutive ACC regions and keeps async queues (nvfortran); OpenMP-
+  // target lowerings launch one synchronous region per construct, and DC
+  // loops are one synchronous launch each (kernel fission).
+  l.fusion = acc_gpu && cfg.fusion_enabled && t.fuses_acc_chains;
+  l.async = acc_gpu && cfg.async_enabled && t.async_launches;
+  l.manual_gpu = cfg.gpu && cfg.memory == gpusim::MemoryMode::Manual;
+  l.unified_gpu = cfg.gpu && cfg.memory == gpusim::MemoryMode::Unified;
+  // Atomic-update array reductions (ACC, DC 2018: paper Listing 3) pay the
+  // toolchain's contention traffic (nvfortran: 1.35); the 202X reduce
+  // clause is lowered by nvfortran as a flipped loop (Listing 5, 1.0) and
+  // by other toolchains as trees or atomic blocks.
+  if (cfg.gpu)
+    l.array_reduce_traffic = cfg.loops == LoopModel::Dc2x
+                                 ? t.reduce_clause_traffic
+                                 : t.atomic_reduce_traffic;
+  l.honors_mem_prefetch = t.honors_mem_prefetch;
+  l.honors_mem_advise = t.honors_mem_advise;
+  return l;
+}
+
 void Scheduler::consume(const StreamOp& op) {
   switch (op_kind(op)) {
     case OpKind::Launch: on_launch(std::get<LaunchOp>(op)); break;
@@ -41,7 +66,7 @@ i64 Scheduler::touch_accesses(const AccessList& accesses,
       // the pages resident and no per-page fault service is charged. A
       // personality that ignores prefetch hints leaves the pages to
       // demand-fault exactly as if hints were off.
-      if (ctx_.cfg->um_hints && traits_.honors_mem_prefetch)
+      if (ctx_.cfg->um_hints && lowering_.honors_mem_prefetch)
         ctx_.mem->mem_prefetch(a.id, touched, /*to_device=*/true,
                                gpusim::TimeCategory::DataMotion);
       ctx_.mem->on_device_access(a.id, touched,
@@ -52,14 +77,15 @@ i64 Scheduler::touch_accesses(const AccessList& accesses,
 }
 
 void Scheduler::on_mem_hint(const MemHintOp& op) {
-  if (!ctx_.cfg->gpu || !ctx_.mem->unified()) return;
+  if (!lowering_.unified_gpu) return;
   // Hint lowering is a personality trait: a toolchain that ignores a hint
   // class accepts the call and does nothing — no page state change, no
   // time. The op stays in the recorded stream either way (the source is
   // the same; certificates are keyed by personality).
   const bool is_advise = op.hint == MemHint::AdviseReadMostly ||
                          op.hint == MemHint::AdvisePreferredHost;
-  if (is_advise ? !traits_.honors_mem_advise : !traits_.honors_mem_prefetch)
+  if (is_advise ? !lowering_.honors_mem_advise
+                : !lowering_.honors_mem_prefetch)
     return;
   const double t0 = ctx_.ledger->now();
   switch (op.hint) {
@@ -90,7 +116,7 @@ void Scheduler::charge_launch_and_bytes(const KernelSite& site, i64 cells,
                                         bool fused, bool async,
                                         double extra_traffic_factor,
                                         gpusim::TimeCategory category) {
-  const bool unified = ctx_.mem->unified() && ctx_.cfg->gpu;
+  const bool unified = lowering_.unified_gpu;
   const double t0 = ctx_.ledger->now();
   double launch = ctx_.cost->launch_time(fused, async, unified);
   if (replay_active_) {
@@ -120,7 +146,7 @@ void Scheduler::on_launch(const LaunchOp& op) {
   ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
   const i64 bytes = touch_accesses(op.accesses, op.cells);
 
-  const bool fused = fuse_with_previous(op);
+  const bool fused = lowering_.fuses(*op.site, last_fusion_group_);
   if (fused)
     ctx_.metrics->fused.add();
   else
@@ -128,7 +154,7 @@ void Scheduler::on_launch(const LaunchOp& op) {
   last_fusion_group_ = op.site->fusion_group;
 
   charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale, fused,
-                          launch_async(op),
+                          lowering_.launches_async(*op.site),
                           1.0 + ctx_.cfg->wrapper_init_overhead, op.category);
 }
 
@@ -154,7 +180,7 @@ void Scheduler::on_array_reduce(const ArrayReduceOp& op) {
   const i64 bytes = touch_accesses(op.accesses, op.cells);
   charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale,
                           /*fused=*/false, /*async=*/false,
-                          array_reduce_traffic_factor(), op.category);
+                          lowering_.array_reduce_traffic, op.category);
 }
 
 void Scheduler::on_sync(const SyncOp&) {
@@ -167,68 +193,6 @@ void Scheduler::on_sync(const SyncOp&) {
 
 void Scheduler::on_fusion_break(const FusionBreakOp&) {
   last_fusion_group_ = 0;
-}
-
-// ---------------------------------------------------------------------
-// AccScheduler: kernel fusion + async gap hiding (paper Sec. IV-B).
-
-bool AccScheduler::fuse_with_previous(const LaunchOp& op) const {
-  // Fusion chains exist only where the toolchain merges consecutive ACC
-  // regions (nvfortran); OpenMP-target lowerings launch one region per
-  // construct regardless of the fusion-group annotations.
-  return ctx_.cfg->gpu && ctx_.cfg->fusion_enabled &&
-         traits_.fuses_acc_chains && op.site->fusion_group != 0 &&
-         op.site->fusion_group == last_fusion_group_;
-}
-
-bool AccScheduler::launch_async(const LaunchOp& op) const {
-  return ctx_.cfg->gpu && ctx_.cfg->async_enabled &&
-         traits_.async_launches && op.site->async_capable;
-}
-
-double AccScheduler::array_reduce_traffic_factor() const {
-  // Atomic-update array reductions (paper Listing 3) pay extra memory
-  // traffic; how much is a lowering choice (nvfortran contention: 1.35).
-  return ctx_.cfg->gpu ? traits_.atomic_reduce_traffic : 1.0;
-}
-
-// ---------------------------------------------------------------------
-// DcScheduler: one launch per loop (fission), synchronous, DC+atomic
-// array reductions (paper Code 2/3).
-
-bool DcScheduler::fuse_with_previous(const LaunchOp&) const { return false; }
-
-bool DcScheduler::launch_async(const LaunchOp&) const { return false; }
-
-double DcScheduler::array_reduce_traffic_factor() const {
-  // DC (F2018) array reductions stay atomic-update; the contention cost
-  // follows the personality's atomic lowering.
-  return ctx_.cfg->gpu ? traits_.atomic_reduce_traffic : 1.0;
-}
-
-// ---------------------------------------------------------------------
-// Dc2xScheduler: fission like DC, but array reductions are flipped
-// (paper Listing 5) — no atomic traffic.
-
-bool Dc2xScheduler::fuse_with_previous(const LaunchOp&) const {
-  return false;
-}
-
-bool Dc2xScheduler::launch_async(const LaunchOp&) const { return false; }
-
-double Dc2xScheduler::array_reduce_traffic_factor() const {
-  // The 202X reduce clause: nvfortran flips the loop (paper Listing 5,
-  // factor 1.0); other toolchains lower it to trees or atomic blocks.
-  return ctx_.cfg->gpu ? traits_.reduce_clause_traffic : 1.0;
-}
-
-std::unique_ptr<Scheduler> make_scheduler(LoopModel m, SchedulerContext ctx) {
-  switch (m) {
-    case LoopModel::Acc: return std::make_unique<AccScheduler>(ctx);
-    case LoopModel::Dc2018: return std::make_unique<DcScheduler>(ctx);
-    case LoopModel::Dc2x: return std::make_unique<Dc2xScheduler>(ctx);
-  }
-  return std::make_unique<AccScheduler>(ctx);
 }
 
 }  // namespace simas::par

@@ -1,26 +1,29 @@
 #pragma once
-// Scheduler backends: the execution policies of the paper's code versions,
-// as consumers of the kernel-stream IR (par/stream.hpp).
+// The scheduler: the execution policy of the paper's code versions, as
+// the consumer of the kernel-stream IR (par/stream.hpp).
 //
-// The Engine records ops; a Scheduler consumes them and drives the cost
-// model, clock ledger, memory manager and trace recorder. Each paper
-// mechanism is a named, independently testable policy:
+// The Engine records ops; the Scheduler consumes them and drives the cost
+// model, clock ledger, memory manager and trace recorder. The code
+// versions differ only in how loops are lowered, and that decision is
+// plain data: par::lowering() folds loop model x device x memory mode x
+// the ablation toggles x the compiler personality into one Lowering per
+// engine. The Scheduler charges ops under it, and the StreamChecker
+// (analysis/static_verifier.hpp) reads the same value for its fusion
+// chains and async queue:
 //
-//  * AccScheduler  — OpenACC analog: consecutive same-group launches merge
-//    into one kernel (fusion); async-capable launches hide part of the
-//    launch latency (paper Sec. IV-B).
-//  * DcScheduler   — `do concurrent` (F2018) analog: one synchronous
-//    launch per loop (kernel fission); array reductions use atomics.
-//  * Dc2xScheduler — Fortran 202X preview: adds the `reduce` clause; array
-//    reductions flip the loop order (paper Listing 5) and avoid the
+//  * LoopModel::Acc    — OpenACC analog: consecutive same-group launches
+//    merge into one kernel (fusion); async-capable launches hide part of
+//    the launch latency (paper Sec. IV-B); array reductions are atomic.
+//  * LoopModel::Dc2018 — `do concurrent` (F2018) analog: one synchronous
+//    launch per loop (kernel fission); array reductions stay atomic.
+//  * LoopModel::Dc2x   — Fortran 202X preview: adds the `reduce` clause;
+//    array reductions flip the loop order (paper Listing 5) and avoid the
 //    atomic read-modify-write traffic.
 //
-// All backends share the accounting core, so modeled time differs only
-// through the declared policy points — this is what the golden-equivalence
-// test (tests/test_scheduler_golden.cpp) pins against the pre-refactor
-// monolithic engine arithmetic.
+// The golden-equivalence test (tests/test_scheduler_golden.cpp) pins the
+// resulting arithmetic against the seed engine for every loop model x
+// memory mode x personality.
 
-#include <memory>
 #include <string>
 
 #include "gpusim/clock_ledger.hpp"
@@ -138,16 +141,44 @@ struct EngineConfig {
   int flight_rank = 0;
 };
 
-/// Snapshot view of the engine.* metrics family, assembled by value from
-/// the telemetry registry (the store of record) — kept for the existing
-/// consumers (tests, benches, RankTiming).
-struct EngineCounters {
-  i64 kernel_launches = 0;  ///< launches actually issued (after fusion)
-  i64 loops_executed = 0;   ///< logical parallel loops run
-  i64 fused_launches = 0;   ///< loops merged into a previous launch
-  i64 reduction_loops = 0;
-  i64 bytes_touched = 0;    ///< logical bytes (run scale)
+/// How one engine configuration lowers loops, reductions and hints,
+/// resolved once per engine by par::lowering(). The one place the
+/// fusion, async and array-reduction rules of the code versions live.
+struct Lowering {
+  /// Consecutive same-group launches may merge into one kernel: ACC on
+  /// the device, fusion enabled, and a toolchain that fuses ACC regions.
+  bool fusion = false;
+  /// Async-capable launches hide part of their latency: ACC on the
+  /// device, async enabled, and a toolchain with async queues.
+  bool async = false;
+  /// Manual data regions on the device (the coherence state machine).
+  bool manual_gpu = false;
+  /// Unified memory on the device (page engine, UM hints).
+  bool unified_gpu = false;
+  /// Traffic multiplier for array reductions: the personality's atomic
+  /// form under ACC / DC 2018 (paper Listing 3), its `reduce` clause
+  /// under DC 202X (Listing 5), 1.0 off the device.
+  double array_reduce_traffic = 1.0;
+  /// Hint lowering of the modeled toolchain. An ignored hint class is
+  /// inert at run time, and the checker demotes its findings to notes.
+  bool honors_mem_prefetch = true;
+  bool honors_mem_advise = true;
+
+  /// May a launch of `site` merge into the preceding launch, whose
+  /// fusion group was `last_group` (0 = chain broken)?
+  bool fuses(const KernelSite& site, int last_group) const {
+    return fusion && site.fusion_group != 0 &&
+           site.fusion_group == last_group;
+  }
+  /// Is a launch of `site` issued asynchronously?
+  bool launches_async(const KernelSite& site) const {
+    return async && site.async_capable;
+  }
 };
+
+/// Resolve the lowering of `cfg` (loop model x gpu x memory mode x
+/// fusion/async toggles x personality_traits(cfg.personality)).
+Lowering lowering(const EngineConfig& cfg);
 
 /// Borrowed views of the per-rank accounting state a scheduler drives.
 /// All pointers outlive the scheduler (they are Engine members).
@@ -164,12 +195,12 @@ struct SchedulerContext {
 class Scheduler {
  public:
   explicit Scheduler(SchedulerContext ctx)
-      : ctx_(ctx), traits_(personality_traits(ctx.cfg->personality)) {}
-  virtual ~Scheduler() = default;
+      : ctx_(ctx), lowering_(par::lowering(*ctx.cfg)) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  virtual const char* name() const = 0;
+  /// The lowering this scheduler charges under.
+  const Lowering& lowering() const { return lowering_; }
 
   /// Account one op of the stream. Ops must be consumed in program order:
   /// fusion and unified-memory residency are stateful.
@@ -178,21 +209,10 @@ class Scheduler {
   /// While active, per-kernel launch overhead is not charged (the kernels
   /// run inside a replayed graph); UM inter-kernel gaps remain.
   void set_replay_active(bool on) { replay_active_ = on; }
-  bool replay_active() const { return replay_active_; }
   /// Accumulated launch overhead elided by replay.
   double replay_launch_saved() const { return replay_launch_saved_; }
 
- protected:
-  // ---- Policy points differentiating the backends ----
-  /// May this launch merge into the immediately preceding one?
-  virtual bool fuse_with_previous(const LaunchOp& op) const = 0;
-  /// Is this launch issued asynchronously (latency partially hidden)?
-  virtual bool launch_async(const LaunchOp& op) const = 0;
-  /// Traffic multiplier for array reductions (atomic RMW contention vs
-  /// the flipped-loop form, paper Listings 3 -> 4 -> 5).
-  virtual double array_reduce_traffic_factor() const = 0;
-
-  // ---- Shared accounting core (identical under every backend) ----
+ private:
   void on_launch(const LaunchOp& op);
   void on_reduce(const ReduceOp& op);
   void on_array_reduce(const ArrayReduceOp& op);
@@ -205,55 +225,18 @@ class Scheduler {
   /// Sum the logical bytes the op touches and notify the memory manager
   /// (unified-memory page migration). Returns the byte total.
   i64 touch_accesses(const AccessList& accesses, i64 cells);
+  /// The single charge point: launch gap, traffic, and the charged
+  /// seconds' consumers (site profiler, trace recorder).
   void charge_launch_and_bytes(const KernelSite& site, i64 cells, i64 bytes,
                                gpusim::ScaleClass scale, bool fused,
                                bool async, double extra_traffic_factor,
                                gpusim::TimeCategory category);
 
   SchedulerContext ctx_;
-  /// Lowering traits of cfg->personality, resolved once at construction.
-  PersonalityTraits traits_;
+  Lowering lowering_;
   int last_fusion_group_ = 0;
   bool replay_active_ = false;
   double replay_launch_saved_ = 0.0;
 };
-
-/// OpenACC analog: kernel fusion + async launch hiding.
-class AccScheduler final : public Scheduler {
- public:
-  using Scheduler::Scheduler;
-  const char* name() const override { return "acc"; }
-
- protected:
-  bool fuse_with_previous(const LaunchOp& op) const override;
-  bool launch_async(const LaunchOp& op) const override;
-  double array_reduce_traffic_factor() const override;
-};
-
-/// `do concurrent` (F2018) analog: one synchronous launch per loop.
-class DcScheduler final : public Scheduler {
- public:
-  using Scheduler::Scheduler;
-  const char* name() const override { return "dc2018"; }
-
- protected:
-  bool fuse_with_previous(const LaunchOp& op) const override;
-  bool launch_async(const LaunchOp& op) const override;
-  double array_reduce_traffic_factor() const override;
-};
-
-/// Fortran 202X preview: flipped (atomic-free) array reductions.
-class Dc2xScheduler final : public Scheduler {
- public:
-  using Scheduler::Scheduler;
-  const char* name() const override { return "dc2x"; }
-
- protected:
-  bool fuse_with_previous(const LaunchOp& op) const override;
-  bool launch_async(const LaunchOp& op) const override;
-  double array_reduce_traffic_factor() const override;
-};
-
-std::unique_ptr<Scheduler> make_scheduler(LoopModel m, SchedulerContext ctx);
 
 }  // namespace simas::par

@@ -17,9 +17,9 @@
 //     carrying its merge policy (counters sum; gauges take the configured
 //     reduction; histograms add bucket-wise).
 //
-// The registry replaces the ad-hoc EngineCounters / HaloExchanger byte
-// totals as the store of record: those structs survive only as snapshot
-// views assembled from registry values.
+// The registry is the store of record for the engine.* and halo.*
+// counters: readers take a snapshot or a registry handle, never a copy
+// kept elsewhere.
 
 #include <iosfwd>
 #include <span>

@@ -58,7 +58,7 @@ TEST(RunExperiment, ProducesValidatedResult) {
   EXPECT_GT(res.final_diag.total_mass, 0.0);
   for (const auto& r : res.ranks) {
     EXPECT_GT(r.seconds_per_step, 0.0);
-    EXPECT_GT(r.counters.kernel_launches, 0);
+    EXPECT_GT(r.metrics.counter("engine.launches"), 0);
   }
 }
 
@@ -69,11 +69,12 @@ TEST(RunExperiment, TraceCaptureWindow) {
   cfg.grid = bench_grid();
   cfg.capture_trace = true;
   const auto res = run_experiment(cfg);
-  EXPECT_GT(res.trace.events().size(), 0u);
+  ASSERT_EQ(res.rank_traces.size(), 1u);
+  const trace::Recorder& rank0 = res.rank_traces[0];
+  EXPECT_GT(rank0.events().size(), 0u);
   EXPECT_GT(res.trace_t1, res.trace_t0);
   // Kernel activity exists inside the measured window.
-  EXPECT_GT(res.trace.lane_busy(trace::Lane::Kernel, res.trace_t0,
-                                res.trace_t1),
+  EXPECT_GT(rank0.lane_busy(trace::Lane::Kernel, res.trace_t0, res.trace_t1),
             0.0);
 }
 

@@ -24,6 +24,7 @@
 #include "gpusim/unified_pages.hpp"
 #include "par/compiler_personality.hpp"
 #include "par/graph_cache.hpp"
+#include "par/sim_context.hpp"
 #include "util/rng.hpp"
 #include "variants/code_version.hpp"
 
@@ -143,6 +144,10 @@ TEST(PortabilityMatrix, UmUnsupportedDeviceRunsZeroCopy) {
 //    and must never reuse another cell's verified-stream certificate.
 
 TEST(PortabilityMatrix, PersonalityChangeInvalidatesCertificates) {
+  // An explicit default environment: an ambient SIMAS_VALIDATE_FATAL
+  // disables certificates (every stream is then fully validated), which
+  // would leave nothing here to hit or miss.
+  const par::SimContext ctx{par::EnvConfig{}};
   par::GraphCache cache;
 
   ExperimentConfig cfg =
@@ -153,6 +158,7 @@ TEST(PortabilityMatrix, PersonalityChangeInvalidatesCertificates) {
   cfg.measure_steps = 1;
   cfg.certify = true;
   cfg.graph_cache = &cache;
+  cfg.ctx = &ctx;
 
   (void)run_experiment(cfg);  // cold: validates, captures, publishes
   const auto first = cache.stats();

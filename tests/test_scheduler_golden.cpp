@@ -1,17 +1,20 @@
-// Golden-equivalence test for the scheduler refactor.
+// Golden-equivalence test for the scheduler's accounting.
 //
-// The Engine used to be a monolith that accounted modeled time inline;
-// it is now a recording front-end feeding kernel-stream IR ops to a
-// Scheduler backend. This test pins the refactor bit-for-bit: a
-// ReferenceAccountant below re-implements the pre-refactor arithmetic
-// verbatim (same operations, same order, same doubles), and every loop
-// model x memory mode must reproduce its clock, category totals,
-// counters, and trace stream EXACTLY (==, not near).
+// The Engine is a recording front-end feeding kernel-stream IR ops to one
+// Scheduler, which charges them under the engine's resolved par::Lowering.
+// This test pins that accounting bit-for-bit: a ReferenceAccountant below
+// re-implements the seed engine's arithmetic verbatim (same operations,
+// same order, same doubles), with the compiler personality's traits
+// gating fusion and async and picking the atomic vs reduce-clause array
+// reduction factor. Every loop model x memory mode x personality must
+// reproduce its clock, category totals, counters, and trace stream
+// EXACTLY (==, not near).
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "par/engine.hpp"
@@ -22,10 +25,19 @@ namespace {
 
 using gpusim::TimeCategory;
 
+/// The engine.* counter family, as the reference tallies it.
+struct Counters {
+  i64 kernel_launches = 0;  ///< engine.launches
+  i64 loops_executed = 0;   ///< engine.loops
+  i64 fused_launches = 0;   ///< engine.fused_launches
+  i64 reduction_loops = 0;  ///< engine.reduction_loops
+  i64 bytes_touched = 0;    ///< engine.bytes_touched
+};
+
 struct Snapshot {
   double now = 0.0;
   std::array<double, 4> totals{};
-  EngineCounters counters;
+  Counters counters;
   std::vector<trace::Event> events;
 };
 
@@ -42,12 +54,18 @@ bool events_equal(const std::vector<trace::Event>& a,
 
 // ---------------------------------------------------------------------
 // Reference: the seed engine's accounting, replicated verbatim against
-// private cost/ledger/memory/trace state.
+// private cost/ledger/memory/trace state. The personality's traits are
+// the only lowering input beyond the config: fusion and async exist only
+// where the toolchain has them, and the array-reduction traffic factor is
+// the atomic form's (ACC, DC 2018) or the reduce clause's (DC 202X).
 
 class ReferenceAccountant {
  public:
-  explicit ReferenceAccountant(const EngineConfig& cfg)
-      : cfg_(cfg), cost_(cfg.device), mem_(cfg.memory, &cost_, &ledger_) {
+  ReferenceAccountant(const EngineConfig& cfg, const PersonalityTraits& traits)
+      : cfg_(cfg),
+        traits_(traits),
+        cost_(cfg.device),
+        mem_(cfg.memory, &cost_, &ledger_) {
     if (mem_.unified()) cost_.set_unified_bw_penalty(0.82);
     if (cfg_.gpu && cfg_.loops != LoopModel::Acc)
       cost_.set_dc_bw_penalty(0.985);
@@ -66,13 +84,15 @@ class ReferenceAccountant {
     counters_.loops_executed++;
     const i64 bytes = touch(acc, cells);
     const bool fused = cfg_.gpu && cfg_.loops == LoopModel::Acc &&
-                       cfg_.fusion_enabled && site.fusion_group != 0 &&
+                       cfg_.fusion_enabled && traits_.fuses_acc_chains &&
+                       site.fusion_group != 0 &&
                        site.fusion_group == last_fusion_group_;
     if (fused) counters_.fused_launches++;
     last_fusion_group_ = site.fusion_group;
     if (!fused) counters_.kernel_launches++;
     const bool async = cfg_.gpu && cfg_.loops == LoopModel::Acc &&
-                       cfg_.async_enabled && site.async_capable;
+                       cfg_.async_enabled && traits_.async_launches &&
+                       site.async_capable;
     charge(site, bytes, scale_of(site, acc), fused, async,
            1.0 + cfg_.wrapper_init_overhead);
   }
@@ -94,8 +114,10 @@ class ReferenceAccountant {
     counters_.kernel_launches++;
     last_fusion_group_ = 0;
     const i64 bytes = touch(acc, cells);
-    const double factor =
-        (cfg_.gpu && cfg_.loops != LoopModel::Dc2x) ? 1.35 : 1.0;
+    const double factor = !cfg_.gpu ? 1.0
+                          : cfg_.loops == LoopModel::Dc2x
+                              ? traits_.reduce_clause_traffic
+                              : traits_.atomic_reduce_traffic;
     charge(site, bytes, scale_of(site, acc), false, false, factor);
   }
 
@@ -157,11 +179,12 @@ class ReferenceAccountant {
   }
 
   EngineConfig cfg_;
+  PersonalityTraits traits_;
   gpusim::ClockLedger ledger_;
   gpusim::CostModel cost_;
   gpusim::MemoryManager mem_;
   trace::Recorder tracer_;
-  EngineCounters counters_;
+  Counters counters_;
   TimeCategory category_ = TimeCategory::Compute;
   int last_fusion_group_ = 0;
 };
@@ -248,14 +271,19 @@ Snapshot run_engine(const EngineConfig& cfg) {
   for (int c = 0; c < 4; ++c)
     snap.totals[static_cast<std::size_t>(c)] =
         eng.ledger().total(static_cast<TimeCategory>(c));
-  snap.counters = eng.counters();
+  const telemetry::MetricsSnapshot m = eng.metrics_snapshot();
+  snap.counters.kernel_launches = m.counter("engine.launches");
+  snap.counters.loops_executed = m.counter("engine.loops");
+  snap.counters.fused_launches = m.counter("engine.fused_launches");
+  snap.counters.reduction_loops = m.counter("engine.reduction_loops");
+  snap.counters.bytes_touched = m.counter("engine.bytes_touched");
   snap.events = eng.tracer().events();
   return snap;
 }
 
 Snapshot run_reference(const EngineConfig& cfg) {
   const Sites& s = Sites::get();
-  ReferenceAccountant ref(cfg);
+  ReferenceAccountant ref(cfg, personality_traits(cfg.personality));
   const auto a =
       ref.register_array("golden_a", 1 << 16, gpusim::ScaleClass::Volume);
   const auto b =
@@ -312,13 +340,22 @@ void expect_identical(const EngineConfig& cfg, const char* label) {
       << ref.events.size() << " events)";
 }
 
-EngineConfig config_for(LoopModel loops, gpusim::MemoryMode mem) {
+EngineConfig config_for(LoopModel loops, gpusim::MemoryMode mem,
+                        CompilerPersonality personality =
+                            CompilerPersonality::Nvfortran) {
   EngineConfig cfg;
   cfg.loops = loops;
   cfg.memory = mem;
   cfg.gpu = true;
   cfg.host_threads = 1;
+  cfg.personality = personality;
   return cfg;
+}
+
+std::string label_for(const EngineConfig& cfg) {
+  return std::string(loop_model_name(cfg.loops)) + "/" +
+         gpusim::memory_mode_name(cfg.memory) + "/" +
+         personality_tag(cfg.personality);
 }
 
 TEST(SchedulerGolden, AllLoopModelsAndMemoryModesMatchSeedAccounting) {
@@ -326,36 +363,86 @@ TEST(SchedulerGolden, AllLoopModelsAndMemoryModesMatchSeedAccounting) {
        {LoopModel::Acc, LoopModel::Dc2018, LoopModel::Dc2x}) {
     for (const gpusim::MemoryMode mem :
          {gpusim::MemoryMode::Manual, gpusim::MemoryMode::Unified}) {
-      const EngineConfig cfg = config_for(loops, mem);
-      const std::string label = std::string(loop_model_name(loops)) + "/" +
-                                gpusim::memory_mode_name(mem);
-      expect_identical(cfg, label.c_str());
+      for (const CompilerPersonality p : all_personalities()) {
+        const EngineConfig cfg = config_for(loops, mem, p);
+        expect_identical(cfg, label_for(cfg).c_str());
+      }
     }
   }
 }
 
 TEST(SchedulerGolden, CpuEngineMatchesSeedAccounting) {
-  EngineConfig cfg;
-  cfg.loops = LoopModel::Acc;
-  cfg.memory = gpusim::MemoryMode::HostOnly;
-  cfg.gpu = false;
-  cfg.device = gpusim::epyc7742_node();
-  cfg.host_threads = 1;
-  expect_identical(cfg, "cpu/host-only");
+  for (const CompilerPersonality p : all_personalities()) {
+    EngineConfig cfg;
+    cfg.loops = LoopModel::Acc;
+    cfg.memory = gpusim::MemoryMode::HostOnly;
+    cfg.gpu = false;
+    cfg.device = gpusim::epyc7742_node();
+    cfg.host_threads = 1;
+    cfg.personality = p;
+    expect_identical(cfg, (std::string("cpu/host-only/") + personality_tag(p))
+                              .c_str());
+  }
 }
 
 TEST(SchedulerGolden, AblationTogglesMatchSeedAccounting) {
-  EngineConfig no_fusion = config_for(LoopModel::Acc, gpusim::MemoryMode::Manual);
-  no_fusion.fusion_enabled = false;
-  expect_identical(no_fusion, "acc/no-fusion");
+  for (const CompilerPersonality p : all_personalities()) {
+    EngineConfig no_fusion =
+        config_for(LoopModel::Acc, gpusim::MemoryMode::Manual, p);
+    no_fusion.fusion_enabled = false;
+    expect_identical(no_fusion, ("no-fusion/" + label_for(no_fusion)).c_str());
 
-  EngineConfig no_async = config_for(LoopModel::Acc, gpusim::MemoryMode::Manual);
-  no_async.async_enabled = false;
-  expect_identical(no_async, "acc/no-async");
+    EngineConfig no_async =
+        config_for(LoopModel::Acc, gpusim::MemoryMode::Manual, p);
+    no_async.async_enabled = false;
+    expect_identical(no_async, ("no-async/" + label_for(no_async)).c_str());
 
-  EngineConfig wrapped = config_for(LoopModel::Dc2x, gpusim::MemoryMode::Unified);
-  wrapped.wrapper_init_overhead = 0.08;  // paper Code 6 wrapper traffic
-  expect_identical(wrapped, "dc2x/wrapper-overhead");
+    EngineConfig wrapped =
+        config_for(LoopModel::Dc2x, gpusim::MemoryMode::Unified, p);
+    wrapped.wrapper_init_overhead = 0.08;  // paper Code 6 wrapper traffic
+    expect_identical(wrapped, ("wrapper/" + label_for(wrapped)).c_str());
+  }
+}
+
+TEST(SchedulerGolden, LoweringFollowsLoopModelAndPersonality) {
+  // The resolved policy the Scheduler charges under: fusion and async only
+  // for ACC on a toolchain that has them, atomic reduction traffic under
+  // ACC / DC 2018, the reduce clause's under DC 202X, and a neutral policy
+  // off the device.
+  KernelSite chained;
+  chained.fusion_group = 7;
+  chained.async_capable = true;
+  for (const LoopModel loops :
+       {LoopModel::Acc, LoopModel::Dc2018, LoopModel::Dc2x}) {
+    for (const CompilerPersonality p : all_personalities()) {
+      const PersonalityTraits t = personality_traits(p);
+      const EngineConfig cfg =
+          config_for(loops, gpusim::MemoryMode::Manual, p);
+      SCOPED_TRACE(label_for(cfg));
+      const Lowering l = lowering(cfg);
+      const bool acc = loops == LoopModel::Acc;
+      EXPECT_EQ(l.fusion, acc && t.fuses_acc_chains);
+      EXPECT_EQ(l.async, acc && t.async_launches);
+      EXPECT_EQ(l.array_reduce_traffic, loops == LoopModel::Dc2x
+                                            ? t.reduce_clause_traffic
+                                            : t.atomic_reduce_traffic);
+      EXPECT_EQ(l.fuses(chained, 7), l.fusion);
+      EXPECT_FALSE(l.fuses(chained, 3));
+      EXPECT_EQ(l.launches_async(chained), l.async);
+      EXPECT_EQ(l.honors_mem_prefetch, t.honors_mem_prefetch);
+      EXPECT_EQ(l.honors_mem_advise, t.honors_mem_advise);
+      EXPECT_TRUE(l.manual_gpu);
+      EXPECT_FALSE(l.unified_gpu);
+
+      EngineConfig cpu = cfg;
+      cpu.gpu = false;
+      const Lowering off = lowering(cpu);
+      EXPECT_FALSE(off.fusion);
+      EXPECT_FALSE(off.async);
+      EXPECT_EQ(off.array_reduce_traffic, 1.0);
+      EXPECT_FALSE(off.manual_gpu || off.unified_gpu);
+    }
+  }
 }
 
 TEST(SchedulerGolden, OverlapHaloFlagDoesNotChangeAccounting) {
@@ -369,19 +456,8 @@ TEST(SchedulerGolden, OverlapHaloFlagDoesNotChangeAccounting) {
          {gpusim::MemoryMode::Manual, gpusim::MemoryMode::Unified}) {
       EngineConfig cfg = config_for(loops, mem);
       cfg.overlap_halo = true;
-      const std::string label = std::string(loop_model_name(loops)) + "/" +
-                                gpusim::memory_mode_name(mem) + "/overlap";
-      expect_identical(cfg, label.c_str());
+      expect_identical(cfg, ("overlap/" + label_for(cfg)).c_str());
     }
-  }
-}
-
-TEST(SchedulerGolden, BackendNamesFollowLoopModel) {
-  for (const LoopModel loops :
-       {LoopModel::Acc, LoopModel::Dc2018, LoopModel::Dc2x}) {
-    EngineConfig cfg = config_for(loops, gpusim::MemoryMode::Manual);
-    Engine eng(cfg);
-    EXPECT_STREQ(eng.scheduler().name(), loop_model_name(loops));
   }
 }
 

@@ -199,8 +199,9 @@ TEST(SeededBugs, StaticAndRuntimeBothDetectEveryPattern) {
     // the registering SIMAS_SITE) so the lint report is actionable.
     const analysis::Diagnostic* d = r.statics.find(bug.expected);
     ASSERT_NE(d, nullptr);
-    if (bug.expected != Check::AsyncHostAccessNoSync)  // data-API event
+    if (bug.expected != Check::AsyncHostAccessNoSync) {  // data-API event
       EXPECT_NE(d->location.find(':'), std::string::npos) << d->to_string();
+    }
   }
 }
 
@@ -530,9 +531,11 @@ TEST(Personalities, IgnoredPrefetchDowngradesSpanMismatchToNote) {
   EXPECT_TRUE(st.has(Check::PrefetchSpanMismatch)) << st.to_string();
   EXPECT_EQ(st.errors(), 0) << st.to_string();
   EXPECT_EQ(st.warnings(), 0) << st.to_string();  // demoted to Info
-  for (const analysis::Diagnostic& d : st.diagnostics)
-    if (d.check == Check::PrefetchSpanMismatch)
+  for (const analysis::Diagnostic& d : st.diagnostics) {
+    if (d.check == Check::PrefetchSpanMismatch) {
       EXPECT_EQ(d.severity, analysis::Severity::Info);
+    }
+  }
   (void)eng.take_validation_report();
   scrub(eng, {&f});
 }
