@@ -91,12 +91,10 @@ void StreamChecker::on_event(const par::OpEvent& ev) {
   }
 }
 
-ValidationReport StreamChecker::report() {
+ValidationReport StreamChecker::report() const {
   ValidationReport r;
-  r.diagnostics = std::move(diagnostics_);
+  r.diagnostics = diagnostics_;
   r.ops_checked = op_index_;
-  diagnostics_.clear();
-  diag_index_.clear();
   return r;
 }
 
@@ -470,15 +468,6 @@ void StreamChecker::on_data_event(gpusim::DataEvent ev, gpusim::ArrayId id) {
       if (st.on_device) st.device_dirty = true;
       break;
   }
-}
-
-ValidationReport verify_stream(const StreamCapture& capture,
-                               const par::Lowering& lowering) {
-  StreamChecker checker(lowering, [&capture](gpusim::ArrayId id) {
-    return capture.array_name(id);
-  });
-  capture.replay(checker);
-  return checker.report();
 }
 
 }  // namespace simas::analysis

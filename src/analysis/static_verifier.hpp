@@ -1,7 +1,8 @@
 #pragma once
 // The stream checker: op-level race/coherence verification over the
-// ordered event stream (par::OpEvent), fed either live by a validating
-// Engine or by replaying a StreamCapture (verify_stream).
+// ordered event stream (par::OpEvent), fed live by its Engine
+// (EngineConfig::check_stream or validation). It executes no kernel:
+// O(stream size), not O(cells x steps).
 //
 // The checker keeps, in this one place, the op-level machinery every
 // analysis needs — ACC fusion chains, the single async queue, the
@@ -38,8 +39,8 @@
 #include <vector>
 
 #include "analysis/diagnostics.hpp"
-#include "analysis/stream_capture.hpp"
 #include "par/scheduler.hpp"
+#include "par/stream.hpp"
 
 namespace simas::analysis {
 
@@ -57,8 +58,10 @@ class StreamChecker final : public par::OpObserver {
   StreamChecker(const par::Lowering& lowering, NameFn names);
 
   void on_event(const par::OpEvent& ev) override;
-  /// Drain the findings so far (ops_checked counts every op seen).
-  ValidationReport report();
+  /// Every finding so far (ops_checked counts every op seen). Does not
+  /// drain: findings accumulate for the checker's lifetime.
+  ValidationReport report() const;
+  const std::vector<Diagnostic>& diagnostics() const { return diagnostics_; }
 
   // ---- Chain position of the last op, for shadow element tags ----
   /// Fusion chain of the last op: one id per ACC chain (or per kernel
@@ -126,11 +129,5 @@ class StreamChecker final : public par::OpObserver {
   std::unordered_map<std::string, std::size_t> diag_index_;
   std::vector<Diagnostic> diagnostics_;
 };
-
-/// Replay a captured trace into a fresh checker and return its report.
-/// Pure function of its arguments: no kernel executes, no engine state is
-/// touched.
-ValidationReport verify_stream(const StreamCapture& capture,
-                               const par::Lowering& lowering);
 
 }  // namespace simas::analysis

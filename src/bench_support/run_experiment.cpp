@@ -190,7 +190,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
   ExperimentResult result;
   result.ranks.resize(static_cast<std::size_t>(cfg.nranks));
   result.rank_spans.resize(static_cast<std::size_t>(cfg.nranks));
-  if (cfg.capture_stream)
+  if (cfg.check_stream)
     result.static_reports.resize(static_cast<std::size_t>(cfg.nranks));
   if (cfg.capture_trace)
     result.rank_traces.resize(static_cast<std::size_t>(cfg.nranks));
@@ -208,8 +208,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
         cfg.version, cfg.device, cfg.personality, rank_threads);
     ecfg.graph_replay = cfg.graph_replay;
     ecfg.validate = cfg.validate;
-    ecfg.capture_stream = cfg.capture_stream;
-    ecfg.certify = cfg.certify;
+    ecfg.check_stream = cfg.check_stream;
     ecfg.overlap_halo = cfg.overlap_halo;
     ecfg.um_hints = cfg.um_hints;
     ecfg.ctx = &ctx;
@@ -217,16 +216,8 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     ecfg.graph_cache = cfg.graph_cache;
     ecfg.trace_id = cfg.trace.trace_id;
     ecfg.flight_rank = rank;
-    if (cfg.graph_cache != nullptr) {
+    if (cfg.graph_cache != nullptr)
       ecfg.graph_cache_scope = shape + "/r" + std::to_string(rank);
-      // Certificates cover the WHOLE stream, and an injected-boundary run
-      // (field-cache hit) skips the PFSS solve a cold run performs — same
-      // graph scopes, different streams. Key the certificate by which
-      // stream this engine will actually execute.
-      ecfg.cert_scope = shape +
-                        (cfg.boundary_fields != nullptr ? "+inj" : "+solve") +
-                        "/r" + std::to_string(rank);
-    }
     par::Engine engine(ecfg);
     engine.cost().set_scales(vol_scale, surf_scale);
     engine.cost().set_working_set_shrink(static_cast<double>(cfg.nranks));
@@ -312,7 +303,7 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     std::lock_guard<std::mutex> lock(result_mutex);
     result.ranks[static_cast<std::size_t>(rank)] = timing;
     result.rank_spans[static_cast<std::size_t>(rank)] = std::move(span);
-    if (cfg.capture_stream)
+    if (cfg.check_stream)
       result.static_reports[static_cast<std::size_t>(rank)] =
           engine.static_verify();
     result.profile.merge_from(profile);

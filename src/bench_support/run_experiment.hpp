@@ -106,16 +106,11 @@ struct ExperimentConfig {
   /// Only meaningful for the unified-memory code versions; physics is
   /// byte-identical, only the modeled paging/MPI exposure changes.
   bool um_hints = false;
-  /// Record each rank's full event trace and run the static verifier over
-  /// it after the measured steps (EngineConfig::capture_stream). The
+  /// Check each rank's full event stream live and read the checker's
+  /// findings after the measured steps (EngineConfig::check_stream). The
   /// per-rank reports land in ExperimentResult::static_reports. No
   /// kernels are shadowed; modeled time is unaffected.
-  bool capture_stream = false;
-  /// Verified-stream certificates (EngineConfig::certify): the first run
-  /// of a shape validates and publishes a certificate into
-  /// `graph_cache`; later runs of the same shape skip runtime shadow
-  /// checks entirely (hash-only integrity). Requires graph_cache.
-  bool certify = false;
+  bool check_stream = false;
   /// Print the cross-rank hot-spot profile (top kernel sites by modeled
   /// time) after the run. Also forced by the SIMAS_PROFILE environment
   /// variable (via the context's EnvConfig snapshot); the merged profile
@@ -155,7 +150,7 @@ struct ExperimentConfig {
   /// flags, boundary hash). Jobs with equal shape keys share captured
   /// graphs safely. Device and personality are key components because
   /// they change the op stream (implicit UM, hint lowering, memory mode),
-  /// so certified ensemble runs stay sound across matrix cells.
+  /// so a captured graph never crosses matrix cells.
   std::string shape_key() const;
 };
 
@@ -205,7 +200,7 @@ struct ExperimentResult {
   /// hidden behind compute, not part of the wall).
   telemetry::MetricsSnapshot metrics;
   telemetry::SiteProfileSnapshot profile;
-  /// Per-rank static-verifier reports (ExperimentConfig::capture_stream;
+  /// Per-rank static-verifier reports (ExperimentConfig::check_stream;
   /// empty otherwise). Indexed by rank.
   std::vector<analysis::ValidationReport> static_reports;
   /// Per-rank span-tree phases over the WHOLE run (warmup + measured):

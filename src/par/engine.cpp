@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "analysis/static_verifier.hpp"
-#include "analysis/stream_capture.hpp"
 #include "analysis/validator.hpp"
 #include "par/graph_cache.hpp"
 #include "telemetry/flight_recorder.hpp"
@@ -52,32 +51,17 @@ Engine::Engine(EngineConfig cfg)
     cfg_.validate_fatal = true;
   }
   metrics_.bind(registry_);
-  // Verified-stream certificates: a certificate for this scope means an
-  // engine of identical shape already ran its full stream under both the
-  // runtime validator and the static verifier, clean. Skip the O(cells)
-  // shadow machinery and fall back to the O(1)-per-op integrity hash —
-  // unless validate_fatal is set (the CI validate job checks everything).
-  if (cfg_.certify && cfg_.graph_cache != nullptr &&
-      !cert_scope().empty() && !cfg_.validate_fatal) {
-    cert_ = cfg_.graph_cache->find_certificate(cert_scope());
-    certified_ = cert_ != nullptr;
-  }
-  // First engine of an uncertified scope: validate so the first report
-  // drain can mint the certificate.
-  if (cfg_.certify && !certified_) cfg_.validate = true;
   flight_.engine = this;
   observers_.push_back(&flight_);
-  if (cfg_.capture_stream && !certified_) {
-    capture_ = std::make_unique<analysis::StreamCapture>(mem_);
-    observers_.push_back(capture_.get());
-  }
-  if (cfg_.validate && !certified_) {
+  if (cfg_.check_stream || cfg_.validate) {
     // The checker sees each op before the validator reads its chain.
     checker_ = std::make_unique<analysis::StreamChecker>(
         sched_.lowering(),
         [this](gpusim::ArrayId id) { return mem_.record(id).name; });
-    validator_ = std::make_unique<analysis::Validator>(*checker_, mem_);
     observers_.push_back(checker_.get());
+  }
+  if (cfg_.validate) {
+    validator_ = std::make_unique<analysis::Validator>(*checker_, mem_);
     observers_.push_back(validator_.get());
     shadow_exec_ = true;
     shadow_ctx_.owner = validator_.get();
@@ -138,18 +122,6 @@ void Engine::on_data_event(gpusim::DataEvent data, gpusim::ArrayId id) {
 
 Engine::~Engine() {
   mem_.set_observer(nullptr);
-  if (certified_) {
-    // No validator ran: the integrity contract is the stream hash. A
-    // mismatch means this engine's stream was NOT the one certified for
-    // its scope — a shape-key collision or a broken scope contract. Loud.
-    if (!certified_stream_matches())
-      log_error("certified stream diverged from the certificate for scope '" +
-                cert_scope() + "' (op " +
-                std::to_string(live_ops_) + " of " +
-                std::to_string(cert_->ops) +
-                " expected): shape-key collision?");
-    return;
-  }
   if (validator_ == nullptr) return;
   const analysis::ValidationReport report = take_validation_report();
   if (!report.diagnostics.empty()) {
@@ -174,15 +146,17 @@ Engine::~Engine() {
 
 analysis::ValidationReport Engine::take_validation_report() {
   if (validator_ == nullptr) return {};
-  analysis::ValidationReport checked = checker_->report();
   analysis::ValidationReport shadow = validator_->take();
-  finalize_certificate(checked.errors() == 0 && shadow.errors() == 0);
   // The checker's declaration-derived findings are static_verify's; their
-  // element-exact counterparts come from the shadow validator.
+  // element-exact counterparts come from the shadow validator. Each
+  // op-level finding is handed out once, by the first drain that sees it.
+  const std::vector<analysis::Diagnostic>& found = checker_->diagnostics();
   analysis::ValidationReport report;
-  report.ops_checked = checked.ops_checked;
-  for (analysis::Diagnostic& d : checked.diagnostics)
-    if (analysis::op_level(d.check)) report.diagnostics.push_back(std::move(d));
+  report.ops_checked = checker_->ops();
+  for (std::size_t i = checker_drained_; i < found.size(); ++i)
+    if (analysis::op_level(found[i].check))
+      report.diagnostics.push_back(found[i]);
+  checker_drained_ = found.size();
   for (analysis::Diagnostic& d : shadow.diagnostics)
     report.diagnostics.push_back(std::move(d));
   maybe_flight_dump(report);
@@ -200,22 +174,9 @@ void Engine::maybe_flight_dump(const analysis::ValidationReport& report) {
   fr.dump_to_file(ctx.env().flight_dump, "validator_error");
 }
 
-void Engine::finalize_certificate(bool clean) {
-  if (!cfg_.certify || cert_finalized_) return;
-  cert_finalized_ = true;
-  if (clean && cfg_.graph_cache != nullptr)
-    cfg_.graph_cache->publish_certificate(
-        StreamCertificate{cert_scope(), live_hash_, live_ops_});
-}
-
 analysis::ValidationReport Engine::static_verify() const {
-  if (capture_ == nullptr) return {};
-  return analysis::verify_stream(*capture_, sched_.lowering());
-}
-
-bool Engine::certified_stream_matches() const {
-  if (!certified_ || cert_ == nullptr) return true;
-  return live_hash_ == cert_->stream_hash && live_ops_ == cert_->ops;
+  if (checker_ == nullptr) return {};
+  return checker_->report();
 }
 
 void Engine::note_halo_begin(gpusim::ArrayId id, std::size_t radial_stride,
@@ -346,12 +307,6 @@ void Engine::submit(StreamOp op) {
     case GraphMode::Off:
     case GraphMode::Diverged:
       break;
-  }
-  if (cfg_.certify) {
-    // O(1) integrity fingerprint: minted on a clean first run, compared
-    // at teardown when shadow checks are skipped under a certificate.
-    live_hash_ = hash_op_signature(live_hash_, op);
-    ++live_ops_;
   }
   sched_.consume(op);
 }
@@ -489,14 +444,6 @@ telemetry::MetricsSnapshot Engine::metrics_snapshot() {
       .set(gs.graph_launch_seconds);
   registry_.gauge("graph.launch_seconds_saved", telemetry::Merge::Sum)
       .set(gs.kernel_launch_seconds_saved);
-
-  if (cfg_.certify) {
-    // cert.certified_runs: this engine ran under a certificate (shadow
-    // checks skipped); cert.certified_ops: ops covered by the hash-only
-    // integrity fold instead of element shadowing.
-    registry_.counter("cert.certified_runs").set(certified_ ? 1 : 0);
-    registry_.counter("cert.certified_ops").set(certified_ ? live_ops_ : 0);
-  }
 
   return registry_.snapshot();
 }

@@ -32,9 +32,10 @@
 // Everything the engine records — IR ops, Manual-mode data events, halo
 // begin/end windows — reaches its observers as one ordered stream of
 // par::OpEvents through a single list: the flight recorder (always), the
-// StreamCapture (cfg.capture_stream), and under validation the
-// StreamChecker (built from the same Lowering as the scheduler) followed
-// by the shadow Validator. See DESIGN.md §9–§10.
+// StreamChecker (built from the same Lowering as the scheduler; under
+// cfg.check_stream or validation) and, under validation, the shadow
+// Validator. The stream is checked at most once, live. See DESIGN.md
+// §9–§10 and §15.
 
 #include <algorithm>
 #include <initializer_list>
@@ -65,14 +66,11 @@
 #include "util/types.hpp"
 
 namespace simas::analysis {
-class StreamCapture;
 class StreamChecker;
 class Validator;
 }
 
 namespace simas::par {
-
-struct StreamCertificate;
 
 class Engine : private gpusim::MemoryObserver {
  public:
@@ -101,28 +99,17 @@ class Engine : private gpusim::MemoryObserver {
   /// Live shadow validator; nullptr when validation is off.
   analysis::Validator* validator() { return validator_.get(); }
   /// Drain the validation findings (empty report when validation is off):
-  /// the live StreamChecker's op-level findings (analysis::op_level) plus
-  /// the shadow validator's element findings. Draining before teardown
-  /// also disarms the validate_fatal abort — and, under cfg.certify, mints
-  /// the scope's verified-stream certificate when both drained reports are
-  /// error-free, the checker's declaration-derived findings included (the
-  /// drained stream must therefore be the complete run).
+  /// the live StreamChecker's op-level findings (analysis::op_level) not
+  /// handed out by an earlier drain, plus the shadow validator's element
+  /// findings. Draining before teardown also disarms the validate_fatal
+  /// abort.
   analysis::ValidationReport take_validation_report();
 
-  /// Recorded event trace (cfg.capture_stream); nullptr when capture is
-  /// off.
-  analysis::StreamCapture* stream_capture() { return capture_.get(); }
-  /// Run the static verifier over the recorded trace (empty report when
-  /// capture is off). Pure: executes no kernels, touches no engine state.
+  /// Every finding of the live StreamChecker so far, declaration-derived
+  /// ones included (empty report when neither cfg.check_stream nor
+  /// validation is on). Does not drain: take_validation_report() is
+  /// independent of it. Executes no kernels, touches no engine state.
   analysis::ValidationReport static_verify() const;
-
-  /// This engine found a verified-stream certificate for its scope and is
-  /// running with runtime shadow checks skipped.
-  bool certified() const { return certified_; }
-  /// Certified mode: the live stream folded so far matches the
-  /// certificate's fingerprint (always true otherwise). Checked again at
-  /// teardown, loudly.
-  bool certified_stream_matches() const;
 
   /// Halo-exchange window notes (called by mpisim::HaloExchanger), handed
   /// to every observer as HaloBegin/HaloEnd events. Columns are
@@ -156,8 +143,8 @@ class Engine : private gpusim::MemoryObserver {
   // ------------------------------------------------------------------
   // Modeled unified-memory hints (cudaMemPrefetchAsync / cudaMemAdvise).
   //
-  // Recorded as MemHintOp stream ops so capture/replay, certificates and
-  // the static verifier all see them. No-ops — not even recorded — unless
+  // Recorded as MemHintOp stream ops so graph capture/replay and the
+  // stream checker both see them. No-ops — not even recorded — unless
   // the engine runs Unified memory on a GPU, so manual and host streams
   // are untouched. Hints never break fusion chains and never touch
   // physics data; they only move modeled pages and time.
@@ -299,14 +286,6 @@ class Engine : private gpusim::MemoryObserver {
   /// Dump the process flight recorder when a drained validation report
   /// carries errors and the context's SIMAS_FLIGHT_DUMP path is set.
   void maybe_flight_dump(const analysis::ValidationReport& report);
-  /// Mint the scope's verified-stream certificate from the live stream
-  /// fold when the drained reports are clean (once; first drain wins).
-  void finalize_certificate(bool clean);
-  /// Certificate partition key (cfg_.cert_scope, falling back to the graph
-  /// scope when unset — see EngineConfig::cert_scope).
-  const std::string& cert_scope() const {
-    return cfg_.cert_scope.empty() ? cfg_.graph_cache_scope : cfg_.cert_scope;
-  }
   // Validator body brackets (no-ops when validation is off); defined in
   // engine.cpp so this header needs only the forward declaration.
   void body_begin();
@@ -576,25 +555,15 @@ class Engine : private gpusim::MemoryObserver {
   telemetry::SiteProfiler profiler_;
   gpusim::TimeCategory kernel_category_ = gpusim::TimeCategory::Compute;
   Scheduler sched_;
-  /// Event-trace recorder; feeds static_verify().
-  std::unique_ptr<analysis::StreamCapture> capture_;
-  /// Validation: the live op-level checker and the shadow validator that
-  /// reads its chain positions (both non-null or both null).
+  /// The live op-level checker (cfg.check_stream or validation) and the
+  /// shadow validator that reads its chain positions (validation only).
   std::unique_ptr<analysis::StreamChecker> checker_;
   std::unique_ptr<analysis::Validator> validator_;
+  /// Checker findings already handed out by take_validation_report().
+  std::size_t checker_drained_ = 0;
   /// Every observer of the event stream, in notification order: flight_,
-  /// then capture_, checker_, validator_ when present.
+  /// then checker_, validator_ when present.
   std::vector<OpObserver*> observers_;
-  /// Certificate this engine runs under (nullptr when uncertified).
-  const StreamCertificate* cert_ = nullptr;
-  bool certified_ = false;
-  /// Certificate minted/attempted already (first drain wins; teardown
-  /// does not re-mint).
-  bool cert_finalized_ = false;
-  /// Integrity fold over the live op stream (cfg.certify): minted into the
-  /// certificate on a clean first run, compared against it when certified.
-  u64 live_hash_ = kStreamHashSeed;
-  i64 live_ops_ = 0;
   /// Validation on: the execute loops publish per-iteration ids so shadow
   /// slots can tag touched elements.
   bool shadow_exec_ = false;

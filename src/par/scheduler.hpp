@@ -70,20 +70,12 @@ struct EngineConfig {
   /// (SIMAS_VALIDATE_FATAL). Reports drained via take_validation_report()
   /// before teardown do not trip this.
   bool validate_fatal = false;
-  /// Record the full event trace — IR ops, Manual-mode data events, halo
-  /// begin/finish windows — into an analysis::StreamCapture for
-  /// ahead-of-run static verification (Engine::static_verify). Recording
-  /// is O(1) per op and never changes modeled time.
-  bool capture_stream = false;
-  /// Verified-stream certificates (par/graph_cache.hpp). Requires
-  /// graph_cache + graph_cache_scope. If the cache already certifies this
-  /// scope, the engine skips runtime shadow validation entirely and only
-  /// re-folds the O(1)-per-op stream hash, comparing it against the
-  /// certificate at teardown. Otherwise the engine validates and mints
-  /// the scope's certificate (scope + stream hash + op count) when the
-  /// drained checker and shadow reports are error-free. validate_fatal
-  /// disables the skip (the CI validate job always checks everything).
-  bool certify = false;
+  /// Check the full event stream — IR ops, Manual-mode data events, halo
+  /// begin/finish windows — with the live analysis::StreamChecker that
+  /// validation also builds, without the shadow Validator: the static
+  /// verification read by Engine::static_verify(). O(1) per op, executes
+  /// no kernel and never changes modeled time.
+  bool check_stream = false;
   /// Overlapped halo exchange: HaloExchanger posts nonblocking sends on the
   /// rank's copy stream and the solver splits radial sweeps into interior
   /// (runs while halos are in flight) and boundary-shell launches. Never
@@ -122,15 +114,9 @@ struct EngineConfig {
   /// back (first-wins). nullptr = engine-local graphs only.
   GraphCache* graph_cache = nullptr;
   /// Cache partition key: engines with equal scopes must record identical
-  /// op streams (same code version, device, grid slab, rank).
+  /// op sequences inside every graph scope (same code version, device,
+  /// grid slab, rank).
   std::string graph_cache_scope;
-  /// Certificate partition key. Graph scopes may legitimately be shared by
-  /// engines whose *full* streams differ (a cold run solves PFSS, a
-  /// field-cache hit injects the solution and skips those ops — the
-  /// per-scope captured graphs are identical, the streams are not), but a
-  /// certificate covers the whole stream, so it needs the finer key.
-  /// Empty = use graph_cache_scope.
-  std::string cert_scope;
   /// Distributed-trace identity (telemetry/trace_context.hpp): every flight
   /// recorder event this engine records carries this trace id, so a dump
   /// can be filtered to one job. 0 = untraced (the default; recording

@@ -77,28 +77,6 @@ const char* span_name(Span s) {
   return "?";
 }
 
-u64 hash_op_signature(u64 h, const StreamOp& op) {
-  const auto fold = [&h](u64 v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  fold(static_cast<u64>(op_kind(op)));
-  const KernelSite* site = op_site(op);
-  // Site *id*, not pointer: the interning order is deterministic for a
-  // fixed code path, while pointer values are not stable across processes.
-  fold(site != nullptr ? static_cast<u64>(site->id) + 1 : 0);
-  fold(static_cast<u64>(op_cells(op)));
-  if (const auto* m = std::get_if<MemHintOp>(&op)) {
-    // Hint ops have no cells; fold their own identity so certificates
-    // distinguish streams that hint different arrays, spans, or amounts.
-    fold(static_cast<u64>(m->hint) + 1);
-    fold(static_cast<u64>(m->id) + 1);
-    fold(static_cast<u64>(m->span) + 1);
-    fold(static_cast<u64>(m->bytes));
-  }
-  return h;
-}
-
 std::vector<KernelSite> stream_sites() {
   return SiteTable::process().all();
 }

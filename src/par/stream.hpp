@@ -159,20 +159,12 @@ i64 op_cells(const StreamOp& op);
 /// the same site covering different arrays are different ops.
 bool same_signature(const StreamOp& a, const StreamOp& b);
 
-/// Fold one op's signature (kind, site id, cells) into an FNV-1a style
-/// running hash. Two engines recording identical op streams accumulate
-/// identical hashes — the integrity check behind verified-stream
-/// certificates (par/graph_cache.hpp): a certified engine re-hashes its
-/// live stream and compares against the certificate at teardown.
-u64 hash_op_signature(u64 h, const StreamOp& op);
-inline constexpr u64 kStreamHashSeed = 14695981039346656037ull;
-
 // ---------------------------------------------------------------------
 // Op events: the one stream every engine observer sees.
 
 /// One event of a rank's ordered stream, handed by reference to each
-/// observer on the Engine's list (flight recorder, StreamCapture,
-/// StreamChecker, shadow Validator). Besides the IR op it carries the two
+/// observer on the Engine's list (flight recorder, StreamChecker, shadow
+/// Validator). Besides the IR op it carries the two
 /// channels the IR does not: Manual-mode data directives / host-device
 /// access notes, and the begin/end pair of an overlapped halo exchange.
 /// All of them fire on the rank thread, so list order is program order.

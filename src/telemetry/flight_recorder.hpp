@@ -5,8 +5,8 @@
 // goes wrong (validator error, physics divergence, job failure) or when
 // SIMAS_FLIGHT_DUMP requests an explicit dump.
 //
-// The event vocabulary mirrors the kernel-stream IR and the
-// analysis/stream_capture observer shapes: launches, reductions, syncs,
+// The event vocabulary mirrors the kernel-stream IR and the engine's
+// par::OpEvent shapes: launches, reductions, syncs,
 // fusion breaks, memory hints, halo windows, data-motion events, plus
 // free-form notes for service-level incidents. Each event is a handful
 // of integers — no strings, no allocation — so recording is one

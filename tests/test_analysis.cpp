@@ -341,7 +341,6 @@ TEST(Async, AsyncCapableReductionSiteIsFlagged) {
     SCOPED_TRACE(par::personality_name(p));
     par::EngineConfig cfg = validating_config();
     cfg.personality = p;
-    cfg.capture_stream = true;
     par::Engine eng(cfg);
     field::Field f(eng, "an_async_a", 4, 4, 4);
     f.enter_data();
@@ -608,22 +607,32 @@ TEST(Report, FoldsRepeatsAndDrainsOnTake) {
 TEST(Report, ValidationOffYieldsEmptyReportAndNoShadow) {
   if (par::EnvConfig::process().validate)
     GTEST_SKIP() << "SIMAS_VALIDATE forces the validator on";
-  par::EngineConfig cfg;  // validate = false
-  cfg.host_threads = 1;
-  par::Engine eng(cfg);
-  EXPECT_EQ(eng.validator(), nullptr);
-  field::Field f(eng, "an_off_a", 4, 4, 4);
-  f.enter_data();
-  static const par::KernelSite& site =
-      SIMAS_SITE("an_off_dup", SiteKind::ParallelLoop, 0);
-  eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
-               [&](idx i, idx j, idx k) {
-                 f(0, 0, 0) = static_cast<real>(i + j + k);
-               });
-  const ValidationReport rep = eng.take_validation_report();
-  EXPECT_TRUE(rep.diagnostics.empty());
-  EXPECT_EQ(rep.ops_checked, 0);
-  scrub(eng, {&f});
+  // check_stream adds the live checker, never the shadow validator: the
+  // drained report stays empty and only static_verify() sees the stream.
+  for (const bool check : {false, true}) {
+    SCOPED_TRACE(check ? "check_stream" : "plain");
+    par::EngineConfig cfg;  // validate = false
+    cfg.check_stream = check;
+    cfg.host_threads = 1;
+    par::Engine eng(cfg);
+    EXPECT_EQ(eng.validator(), nullptr);
+    field::Field f(eng, "an_off_a", 4, 4, 4);
+    f.enter_data();
+    static const par::KernelSite& site =
+        SIMAS_SITE("an_off_dup", SiteKind::ParallelLoop, 0);
+    eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
+                 [&](idx i, idx j, idx k) {
+                   f(0, 0, 0) = static_cast<real>(i + j + k);
+                 });
+    f.update_host();  // no device_sync: copyout races the async kernel
+    const ValidationReport rep = eng.take_validation_report();
+    EXPECT_TRUE(rep.diagnostics.empty());
+    EXPECT_EQ(rep.ops_checked, 0);
+    const ValidationReport st = eng.static_verify();
+    EXPECT_EQ(st.has(Check::AsyncHostAccessNoSync), check) << st.to_string();
+    EXPECT_EQ(st.ops_checked, check ? 1 : 0);
+    scrub(eng, {&f});
+  }
 }
 
 TEST(Report, ModeledTimeIsIdenticalWithValidationOn) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "mhd/ops.hpp"
 #include "mhd/solver.hpp"
@@ -31,6 +32,13 @@ struct Params {
   double stretch;
   u64 seed;
 };
+
+// Names each case by its fields: without a printer gtest dumps the raw
+// bytes, padding included, and the case names change from build to build.
+void PrintTo(const Params& p, std::ostream* os) {
+  *os << "nranks" << p.nranks << "_stretch" << p.stretch << "_seed"
+      << p.seed;
+}
 
 class CtRandomPotential : public ::testing::TestWithParam<Params> {};
 

@@ -1,10 +1,11 @@
 // Static kernel-stream verifier tests: the table-driven seeded-bug suite
 // (every hazard class planted deliberately, detected both statically and
 // at runtime), the differential superset property (on honestly-declared
-// streams the static findings cover every runtime finding), span-
-// disjointness clean cases, and the verified-stream certificate
-// lifecycle (mint -> replay with shadow checks skipped -> integrity
-// hash at teardown).
+// streams the static findings cover every runtime finding), the drain
+// contract between take_validation_report() and static_verify(),
+// span-disjointness clean cases, and the one-live-checker-per-engine
+// properties (validate and check_stream share it; graph replay hides no
+// op from it).
 
 #include <gtest/gtest.h>
 
@@ -20,7 +21,7 @@
 #include "mpisim/halo.hpp"
 #include "par/engine.hpp"
 #include "par/env_config.hpp"
-#include "par/graph_cache.hpp"
+#include "par/sim_context.hpp"
 #include "variants/code_version.hpp"
 
 namespace simas {
@@ -30,10 +31,11 @@ using analysis::Check;
 using analysis::ValidationReport;
 using par::SiteKind;
 
-par::EngineConfig capture_config() {
+// Validation builds the live checker static_verify() reads, next to the
+// shadow validator take_validation_report() drains.
+par::EngineConfig validating_config() {
   par::EngineConfig cfg;  // Acc / Manual / gpu / fusion+async on
   cfg.validate = true;
-  cfg.capture_stream = true;
   cfg.host_threads = 1;
   return cfg;
 }
@@ -46,11 +48,24 @@ void scrub(par::Engine& eng, std::initializer_list<field::Field*> fields) {
   (void)eng.take_validation_report();
 }
 
-/// Both analyses' findings over one seeded stream.
+/// Both analyses' findings over one seeded stream, read in the order the
+/// drain contract is about: the checker's findings, two drains, then the
+/// checker's findings again.
 struct Reports {
-  ValidationReport runtime;
-  ValidationReport statics;
+  ValidationReport statics_before;  ///< static_verify() before any drain
+  ValidationReport runtime;         ///< first take_validation_report()
+  ValidationReport second_drain;    ///< second take_validation_report()
+  ValidationReport statics;         ///< static_verify() after both drains
 };
+
+Reports read_reports(par::Engine& eng) {
+  Reports r;
+  r.statics_before = eng.static_verify();
+  r.runtime = eng.take_validation_report();
+  r.second_drain = eng.take_validation_report();
+  r.statics = eng.static_verify();
+  return r;
+}
 
 /// The differential property the analyzer is designed around: the static
 /// pass trusts declarations and flags conservatively, so on an honestly-
@@ -82,7 +97,7 @@ void expect_static_superset(const Reports& r) {
 // Bug 1: duplicate write — every iteration of a plain parallel loop hits
 // element (0,0,0), declared honestly as a scatter write. Illegal DC.
 Reports seed_duplicate_write() {
-  par::Engine eng(capture_config());
+  par::Engine eng(validating_config());
   field::Field f(eng, "sv_dup_a", 4, 4, 4);
   f.enter_data();
   static const par::KernelSite& site =
@@ -91,9 +106,7 @@ Reports seed_duplicate_write() {
                {par::out_scatter(f.id())}, [&](idx i, idx j, idx k) {
                  f(0, 0, 0) = static_cast<real>(i + j + k);
                });
-  Reports r;
-  r.runtime = eng.take_validation_report();
-  r.statics = eng.static_verify();
+  const Reports r = read_reports(eng);
   scrub(eng, {&f});
   return r;
 }
@@ -101,7 +114,7 @@ Reports seed_duplicate_write() {
 // Bug 2: two kernels share a fusion group and both pure-write every
 // element of the same array — the merged launch would race.
 Reports seed_fused_conflict() {
-  par::Engine eng(capture_config());
+  par::Engine eng(validating_config());
   field::Field f(eng, "sv_fuse_a", 4, 4, 4);
   f.enter_data();
   static const par::KernelSite& s1 =
@@ -113,9 +126,7 @@ Reports seed_fused_conflict() {
                [&](idx i, idx j, idx k) { f(i, j, k) = 1.0; });
   eng.for_each(s2, r3, {par::out(f.id())},
                [&](idx i, idx j, idx k) { f(i, j, k) = 2.0; });
-  Reports r;
-  r.runtime = eng.take_validation_report();
-  r.statics = eng.static_verify();
+  const Reports r = read_reports(eng);
   scrub(eng, {&f});
   return r;
 }
@@ -123,7 +134,7 @@ Reports seed_fused_conflict() {
 // Bug 3: host pulls an array while device writes are still in flight on
 // the async queue — no device_sync before the copyout.
 Reports seed_copyout_without_sync() {
-  par::Engine eng(capture_config());
+  par::Engine eng(validating_config());
   field::Field f(eng, "sv_sync_a", 4, 4, 4);
   f.enter_data();
   static const par::KernelSite& site =
@@ -131,9 +142,7 @@ Reports seed_copyout_without_sync() {
   eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
                [&](idx i, idx j, idx k) { f(i, j, k) = 1.0; });
   f.update_host();  // missing eng.device_sync()
-  Reports r;
-  r.runtime = eng.take_validation_report();
-  r.statics = eng.static_verify();
+  const Reports r = read_reports(eng);
   scrub(eng, {&f});
   return r;
 }
@@ -144,7 +153,7 @@ Reports seed_inflight_ghost_read() {
   Reports r;
   mpisim::World world(2);
   world.run([&](int rank) {
-    par::EngineConfig cfg = capture_config();
+    par::EngineConfig cfg = validating_config();
     cfg.overlap_halo = true;
     par::Engine eng(cfg);
     mpisim::Comm comm(world, rank, eng);
@@ -162,10 +171,7 @@ Reports seed_inflight_ghost_read() {
                    sum += f(i - 1, j, k) + f(i + 1, j, k);
                  });
     halo.finish_exchange_r(h);
-    if (rank == 0) {
-      r.runtime = eng.take_validation_report();
-      r.statics = eng.static_verify();
-    }
+    if (rank == 0) r = read_reports(eng);
     scrub(eng, {&f});
   });
   return r;
@@ -177,8 +183,8 @@ struct SeededBug {
   std::function<Reports()> run;
 };
 
-TEST(SeededBugs, StaticAndRuntimeBothDetectEveryPattern) {
-  const std::vector<SeededBug> table = {
+const std::vector<SeededBug>& seeded_bugs() {
+  static const std::vector<SeededBug> table = {
       {"duplicate_write", Check::DuplicateWrite, seed_duplicate_write},
       {"fused_conflict", Check::FusedConflict, seed_fused_conflict},
       {"copyout_without_sync", Check::AsyncHostAccessNoSync,
@@ -186,7 +192,11 @@ TEST(SeededBugs, StaticAndRuntimeBothDetectEveryPattern) {
       {"inflight_ghost_read", Check::InflightGhostRead,
        seed_inflight_ghost_read},
   };
-  for (const SeededBug& bug : table) {
+  return table;
+}
+
+TEST(SeededBugs, StaticAndRuntimeBothDetectEveryPattern) {
+  for (const SeededBug& bug : seeded_bugs()) {
     SCOPED_TRACE(bug.name);
     const Reports r = bug.run();
     EXPECT_TRUE(r.runtime.has(bug.expected))
@@ -205,6 +215,24 @@ TEST(SeededBugs, StaticAndRuntimeBothDetectEveryPattern) {
   }
 }
 
+// One live checker serves both reads: a drain hands each op-level
+// finding out once, and never takes it away from static_verify().
+TEST(SeededBugs, DrainHandsOutFindingsOnceAndStaticVerifyKeepsThem) {
+  for (const SeededBug& bug : seeded_bugs()) {
+    SCOPED_TRACE(bug.name);
+    const Reports r = bug.run();
+    EXPECT_TRUE(r.runtime.has(bug.expected)) << r.runtime.to_string();
+    EXPECT_TRUE(r.second_drain.diagnostics.empty())
+        << r.second_drain.to_string();
+    EXPECT_EQ(r.second_drain.errors(), 0);
+    EXPECT_TRUE(r.statics.has(bug.expected)) << r.statics.to_string();
+    EXPECT_EQ(r.statics.to_string(), r.statics_before.to_string());
+    EXPECT_EQ(r.statics.ops_checked, r.statics_before.ops_checked);
+    EXPECT_EQ(r.statics.diagnostics.size(),
+              r.statics_before.diagnostics.size());
+  }
+}
+
 // ---------------------------------------------------------------------
 // 2. Span semantics: disjoint declared spans are clean; over-declared
 //    spans are flagged conservatively (static strictly ⊇ runtime).
@@ -212,7 +240,7 @@ TEST(SeededBugs, StaticAndRuntimeBothDetectEveryPattern) {
 TEST(Spans, DisjointGhostWritesInOneFusionGroupAreClean) {
   // The real group-12 pattern: the inner-wall kernel writes the low ghost,
   // the outer-wall kernel the high ghost. Same fusion group, no overlap.
-  par::Engine eng(capture_config());
+  par::Engine eng(validating_config());
   field::Field f(eng, "sv_span_a", 4, 4, 4, 1);
   f.enter_data();
   static const par::KernelSite& lo =
@@ -224,7 +252,7 @@ TEST(Spans, DisjointGhostWritesInOneFusionGroupAreClean) {
                [&](idx j, idx k, idx) { f(-1, j, k) = 1.0; });
   eng.for_each(hi, r3, {par::out_ghost_hi(f.id())},
                [&](idx j, idx k, idx) { f(4, j, k) = 2.0; });
-  const Reports r{eng.take_validation_report(), eng.static_verify()};
+  const Reports r = read_reports(eng);
   EXPECT_FALSE(r.statics.has(Check::FusedConflict)) << r.statics.to_string();
   EXPECT_FALSE(r.runtime.has(Check::FusedConflict)) << r.runtime.to_string();
   EXPECT_EQ(r.statics.errors(), 0) << r.statics.to_string();
@@ -234,7 +262,7 @@ TEST(Spans, DisjointGhostWritesInOneFusionGroupAreClean) {
 TEST(Spans, InteriorReadDuringOverlapWindowIsClean) {
   mpisim::World world(2);
   world.run([&](int rank) {
-    par::EngineConfig cfg = capture_config();
+    par::EngineConfig cfg = validating_config();
     cfg.overlap_halo = true;
     par::Engine eng(cfg);
     mpisim::Comm comm(world, rank, eng);
@@ -253,7 +281,7 @@ TEST(Spans, InteriorReadDuringOverlapWindowIsClean) {
                  {par::in_interior(f.id())},
                  [&](idx i, idx j, idx k) { sum += f(i, j, k); });
     halo.finish_exchange_r(h);
-    const Reports r{eng.take_validation_report(), eng.static_verify()};
+    const Reports r = read_reports(eng);
     EXPECT_FALSE(r.statics.has(Check::InflightGhostRead))
         << r.statics.to_string();
     EXPECT_EQ(r.statics.errors(), 0) << r.statics.to_string();
@@ -269,7 +297,7 @@ TEST(Spans, OverdeclaredFullSpanIsFlaggedOnlyStatically) {
   // strictly here.
   mpisim::World world(2);
   world.run([&](int rank) {
-    par::EngineConfig cfg = capture_config();
+    par::EngineConfig cfg = validating_config();
     cfg.overlap_halo = true;
     par::Engine eng(cfg);
     mpisim::Comm comm(world, rank, eng);
@@ -285,7 +313,7 @@ TEST(Spans, OverdeclaredFullSpanIsFlaggedOnlyStatically) {
     eng.for_each(site, par::Range3{0, n, 0, 4, 0, 4}, {par::in(f.id())},
                  [&](idx i, idx j, idx k) { sum += f(i, j, k); });
     halo.finish_exchange_r(h);
-    const Reports r{eng.take_validation_report(), eng.static_verify()};
+    const Reports r = read_reports(eng);
     EXPECT_TRUE(r.statics.has(Check::InflightGhostRead))
         << r.statics.to_string();
     EXPECT_FALSE(r.runtime.has(Check::InflightGhostRead))
@@ -305,7 +333,6 @@ TEST(RealStream, OverlappedSolverStreamVerifiesClean) {
     par::EngineConfig ecfg = variants::engine_config(
         variants::CodeVersion::A, gpusim::a100_40gb(), 2);
     ecfg.validate = true;
-    ecfg.capture_stream = true;
     ecfg.overlap_halo = true;
     par::Engine engine(ecfg);
     mpisim::Comm comm(world, rank, engine);
@@ -327,135 +354,7 @@ TEST(RealStream, OverlappedSolverStreamVerifiesClean) {
 }
 
 // ---------------------------------------------------------------------
-// 4. Certificate lifecycle: validate on first run, mint when the checker
-//    and the shadow validator come back clean, skip shadow checks on
-//    replay, match the integrity hash at teardown.
-
-par::EngineConfig certify_config(par::GraphCache* cache,
-                                 const std::string& scope) {
-  par::EngineConfig cfg;
-  cfg.certify = true;
-  cfg.graph_cache = cache;
-  cfg.graph_cache_scope = scope;
-  cfg.host_threads = 1;
-  return cfg;
-}
-
-void run_clean_stream(par::Engine& eng, const std::string& field_name) {
-  field::Field f(eng, field_name, 4, 4, 4);
-  f.enter_data();
-  static const par::KernelSite& site =
-      SIMAS_SITE("sv_cert_k", SiteKind::ParallelLoop, 0);
-  for (int n = 0; n < 3; ++n) {
-    eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
-                 [&](idx i, idx j, idx k) { f(i, j, k) = real(n); });
-  }
-  eng.device_sync();
-  f.exit_data();
-}
-
-TEST(Certificates, CleanFirstRunMintsAndReplaySkipsShadowChecks) {
-  if (par::EnvConfig::process().validate_fatal)
-    GTEST_SKIP() << "SIMAS_VALIDATE_FATAL disables certification";
-  par::GraphCache cache;
-  const std::string scope = "sv_cert_scope/r0";
-
-  // First run: no certificate yet -> certify forces validation (the live
-  // checker needs no capture: memory stays flat on long runs).
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    EXPECT_FALSE(eng.certified());
-    EXPECT_NE(eng.validator(), nullptr);
-    EXPECT_EQ(eng.stream_capture(), nullptr);
-    run_clean_stream(eng, "sv_cert_a");
-    const ValidationReport rep = eng.take_validation_report();
-    EXPECT_EQ(rep.errors(), 0) << rep.to_string();
-  }
-  EXPECT_EQ(cache.stats().cert_publishes, 1);
-  EXPECT_NE(cache.find_certificate(scope), nullptr);
-
-  // Replay: certificate found -> no validator, no capture; the live
-  // integrity hash over the identical stream matches at teardown.
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    EXPECT_TRUE(eng.certified());
-    EXPECT_EQ(eng.validator(), nullptr);
-    EXPECT_EQ(eng.stream_capture(), nullptr);
-    run_clean_stream(eng, "sv_cert_b");
-    EXPECT_TRUE(eng.certified_stream_matches());
-  }
-  EXPECT_GE(cache.stats().cert_hits, 1);
-}
-
-TEST(Certificates, DirtyStreamMintsNothing) {
-  if (par::EnvConfig::process().validate_fatal)
-    GTEST_SKIP() << "SIMAS_VALIDATE_FATAL disables certification";
-  par::GraphCache cache;
-  const std::string scope = "sv_cert_dirty/r0";
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    field::Field f(eng, "sv_cert_c", 4, 4, 4);
-    f.enter_data();
-    static const par::KernelSite& site =
-        SIMAS_SITE("sv_cert_dup", SiteKind::ParallelLoop, 0);
-    eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4},
-                 {par::out_scatter(f.id())}, [&](idx i, idx j, idx k) {
-                   f(0, 0, 0) = static_cast<real>(i + j + k);
-                 });
-    const ValidationReport rep = eng.take_validation_report();
-    EXPECT_GT(rep.errors(), 0);
-    scrub(eng, {&f});
-  }
-  EXPECT_EQ(cache.stats().cert_publishes, 0);
-  EXPECT_EQ(cache.find_certificate(scope), nullptr);
-  // A later run of the same scope still validates.
-  par::Engine eng(certify_config(&cache, scope));
-  EXPECT_FALSE(eng.certified());
-  EXPECT_NE(eng.validator(), nullptr);
-  (void)eng.take_validation_report();
-}
-
-TEST(Certificates, DivergentReplayStreamFailsTheIntegrityHash) {
-  if (par::EnvConfig::process().validate_fatal)
-    GTEST_SKIP() << "SIMAS_VALIDATE_FATAL disables certification";
-  par::GraphCache cache;
-  const std::string scope = "sv_cert_div/r0";
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    run_clean_stream(eng, "sv_cert_d");
-    (void)eng.take_validation_report();
-  }
-  ASSERT_NE(cache.find_certificate(scope), nullptr);
-  par::Engine eng(certify_config(&cache, scope));
-  ASSERT_TRUE(eng.certified());
-  // A different stream under the same scope (the shape-key collision the
-  // teardown check exists to catch): one extra kernel.
-  run_clean_stream(eng, "sv_cert_e");
-  field::Field f(eng, "sv_cert_f", 4, 4, 4);
-  f.enter_data();
-  static const par::KernelSite& extra =
-      SIMAS_SITE("sv_cert_extra", SiteKind::ParallelLoop, 0);
-  eng.for_each(extra, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
-               [&](idx i, idx j, idx k) { f(i, j, k) = 9.0; });
-  EXPECT_FALSE(eng.certified_stream_matches());
-  eng.device_sync();
-  f.exit_data();
-}
-
-TEST(Certificates, PublishRefusesUnscopedCertificates) {
-  par::GraphCache cache;
-  par::StreamCertificate cert;
-  cert.scope = "";
-  EXPECT_FALSE(cache.publish_certificate(cert));
-  cert.scope = "sv_pub/r0";
-  EXPECT_TRUE(cache.publish_certificate(cert));
-  EXPECT_FALSE(cache.publish_certificate(cert));  // first-wins
-  EXPECT_EQ(cache.stats().cert_publishes, 1);
-  EXPECT_EQ(cache.stats().cert_duplicates, 1);
-}
-
-// ---------------------------------------------------------------------
-// 6. Compiler personalities (the portability matrix's toolchain axis).
+// 4. Compiler personalities (the portability matrix's toolchain axis).
 //    Personalities change what the analyzer may assume about lowering:
 //    an atomic-block reduction is protected under every personality, and
 //    a toolchain that ignores prefetch hints turns the hint-correctness
@@ -467,7 +366,7 @@ TEST(Certificates, PublishRefusesUnscopedCertificates) {
 // DuplicateWrite in both analyses, under every personality.
 TEST(Personalities, AtomicBlockAccumulationNeverTripsDuplicateWrite) {
   for (const par::CompilerPersonality p : par::all_personalities()) {
-    par::EngineConfig cfg = capture_config();
+    par::EngineConfig cfg = validating_config();
     cfg.personality = p;
     par::Engine eng(cfg);
     field::Field f(eng, "sv_pers_atomic", 4, 4, 4);
@@ -493,7 +392,7 @@ TEST(Personalities, AtomicBlockAccumulationNeverTripsDuplicateWrite) {
 // site IS the illegal-DC hazard — no personality may excuse it.
 TEST(Personalities, PlainLoopScatterStillTripsDuplicateWriteEverywhere) {
   for (const par::CompilerPersonality p : par::all_personalities()) {
-    par::EngineConfig cfg = capture_config();
+    par::EngineConfig cfg = validating_config();
     cfg.personality = p;
     par::Engine eng(cfg);
     field::Field f(eng, "sv_pers_plain", 4, 4, 4);
@@ -515,7 +414,7 @@ TEST(Personalities, PlainLoopScatterStillTripsDuplicateWriteEverywhere) {
 // wrong-span prefetch inert: the finding must survive as an Info note —
 // visible, but neither a warning nor an error.
 TEST(Personalities, IgnoredPrefetchDowngradesSpanMismatchToNote) {
-  par::EngineConfig cfg = capture_config();
+  par::EngineConfig cfg = validating_config();
   cfg.memory = gpusim::MemoryMode::Unified;
   cfg.personality = par::CompilerPersonality::Flang;
   par::Engine eng(cfg);
@@ -543,7 +442,7 @@ TEST(Personalities, IgnoredPrefetchDowngradesSpanMismatchToNote) {
 // The same stream under the hint-honoring default keeps the Warning:
 // the downgrade is a personality fact, not a blanket softening.
 TEST(Personalities, HonoredPrefetchKeepsSpanMismatchAsWarning) {
-  par::EngineConfig cfg = capture_config();
+  par::EngineConfig cfg = validating_config();
   cfg.memory = gpusim::MemoryMode::Unified;
   cfg.personality = par::CompilerPersonality::Nvfortran;
   par::Engine eng(cfg);
@@ -559,6 +458,119 @@ TEST(Personalities, HonoredPrefetchKeepsSpanMismatchAsWarning) {
   EXPECT_TRUE(st.has(Check::PrefetchSpanMismatch)) << st.to_string();
   EXPECT_GE(st.warnings(), 1) << st.to_string();
   (void)eng.take_validation_report();
+  scrub(eng, {&f});
+}
+
+// ---------------------------------------------------------------------
+// 5. One live checker per engine: validation and check_stream attach the
+//    same StreamChecker, it sees every op whether or not a graph replays,
+//    and without validation its findings reach static_verify() only.
+
+par::EngineConfig live_config(bool validate, bool check_stream) {
+  par::EngineConfig cfg;
+  cfg.validate = validate;
+  cfg.check_stream = check_stream;
+  cfg.host_threads = 1;
+  return cfg;
+}
+
+// Three kernels, then a copyout with no device_sync; returns every
+// finding the engine's checker made.
+ValidationReport unsynced_copyout_stream(const par::EngineConfig& cfg) {
+  par::Engine eng(cfg);
+  field::Field f(eng, "sv_live_a", 4, 4, 4);
+  f.enter_data();
+  static const par::KernelSite& site =
+      SIMAS_SITE("sv_live_k", SiteKind::ParallelLoop, 0);
+  for (int n = 0; n < 3; ++n) {
+    eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
+                 [&](idx i, idx j, idx k) { f(i, j, k) = real(n); });
+  }
+  f.update_host();  // missing eng.device_sync()
+  const ValidationReport st = eng.static_verify();
+  scrub(eng, {&f});
+  return st;
+}
+
+TEST(LiveChecker, ValidateAndCheckStreamShareOneChecker) {
+  const ValidationReport checked =
+      unsynced_copyout_stream(live_config(false, true));
+  const ValidationReport validated =
+      unsynced_copyout_stream(live_config(true, false));
+  const ValidationReport both =
+      unsynced_copyout_stream(live_config(true, true));
+  EXPECT_TRUE(checked.has(Check::AsyncHostAccessNoSync))
+      << checked.to_string();
+  EXPECT_GE(checked.ops_checked, 3);
+  // Both switches on still means one checker: nothing is seen twice.
+  EXPECT_EQ(both.ops_checked, checked.ops_checked);
+  EXPECT_EQ(validated.ops_checked, checked.ops_checked);
+  EXPECT_EQ(both.to_string(), checked.to_string());
+  EXPECT_EQ(validated.to_string(), checked.to_string());
+}
+
+// ops_checked after `passes` passes of one two-kernel graph scope.
+i64 ops_checked_over_passes(bool graph_replay, int passes) {
+  par::EngineConfig cfg = live_config(false, true);
+  cfg.graph_replay = graph_replay;
+  par::Engine eng(cfg);
+  field::Field f(eng, "sv_live_graph_a", 4, 4, 4);
+  f.enter_data();
+  static const par::KernelSite& w =
+      SIMAS_SITE("sv_live_graph_w", SiteKind::ParallelLoop, 0);
+  static const par::KernelSite& r =
+      SIMAS_SITE("sv_live_graph_r", SiteKind::ParallelLoop, 0);
+  const par::Range3 r3{0, 4, 0, 4, 0, 4};
+  real sum = 0.0;
+  for (int pass = 0; pass < passes; ++pass) {
+    par::Engine::GraphScope graph(eng, "sv_live_graph");
+    eng.for_each(w, r3, {par::out(f.id())},
+                 [&](idx i, idx j, idx k) { f(i, j, k) = real(pass); });
+    eng.for_each(r, r3, {par::in(f.id())},
+                 [&](idx i, idx j, idx k) { sum += f(i, j, k); });
+  }
+  eng.device_sync();
+  const ValidationReport st = eng.static_verify();
+  EXPECT_EQ(st.errors(), 0) << st.to_string();
+  EXPECT_EQ(eng.graph_stats().replays, graph_replay ? passes - 1 : 0);
+  scrub(eng, {&f});
+  return st.ops_checked;
+}
+
+TEST(LiveChecker, ReplayedGraphPassesAreCheckedLikeCapturedOnes) {
+  const i64 one = ops_checked_over_passes(true, 1);
+  const i64 two = ops_checked_over_passes(true, 2);
+  const i64 three = ops_checked_over_passes(true, 3);
+  // Each replayed pass costs the checker what the capture pass did...
+  EXPECT_GE(two - one, 2);
+  EXPECT_EQ(three - two, two - one);
+  // ...and replay skips no op the checker would see without graphs.
+  EXPECT_EQ(three, ops_checked_over_passes(false, 3));
+}
+
+TEST(LiveChecker, WithoutValidationFindingsReachStaticVerifyOnly) {
+  // An explicit default environment: this is the validation-off contract,
+  // which an ambient SIMAS_VALIDATE would switch away from.
+  const par::SimContext ctx{par::EnvConfig{}};
+  par::EngineConfig cfg = live_config(false, true);
+  cfg.ctx = &ctx;
+  par::Engine eng(cfg);
+  EXPECT_EQ(eng.validator(), nullptr);
+  field::Field f(eng, "sv_live_dup_a", 4, 4, 4);
+  f.enter_data();
+  static const par::KernelSite& site =
+      SIMAS_SITE("sv_live_dup", SiteKind::ParallelLoop, 0);
+  eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4},
+               {par::out_scatter(f.id())}, [&](idx i, idx j, idx k) {
+                 f(0, 0, 0) = static_cast<real>(i + j + k);
+               });
+  const ValidationReport before = eng.static_verify();
+  EXPECT_TRUE(before.has(Check::DuplicateWrite)) << before.to_string();
+  const ValidationReport drained = eng.take_validation_report();
+  EXPECT_TRUE(drained.diagnostics.empty()) << drained.to_string();
+  EXPECT_EQ(drained.ops_checked, 0);
+  const ValidationReport after = eng.static_verify();
+  EXPECT_EQ(after.to_string(), before.to_string());
   scrub(eng, {&f});
 }
 

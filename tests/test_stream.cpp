@@ -1,13 +1,15 @@
 // Kernel-stream IR and graph capture/replay tests: op helpers, signature
 // validation, CapturedGraph lifecycle, and the Engine's capture -> replay
 // -> divergence -> re-capture state machine with its launch-overhead
-// accounting (per-graph instead of per-kernel).
+// accounting (per-graph instead of per-kernel), and cross-engine reuse
+// through a GraphCache partitioned by scope.
 
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "par/engine.hpp"
+#include "par/graph_cache.hpp"
 #include "par/site_table.hpp"
 
 namespace simas::par {
@@ -410,6 +412,43 @@ TEST(GraphReplay, ReplayedGraphLaunchAppearsInTrace) {
   for (const auto& e : eng.tracer().events())
     found |= (e.name == "graph:traced");
   EXPECT_TRUE(found);
+}
+
+TEST(GraphReplay, CacheSharesCapturesWithinOneScopeOnly) {
+  GraphCache cache;
+  static const KernelSite& s1 =
+      SIMAS_SITE("graph_cache_scope_1", SiteKind::ParallelLoop);
+  const auto run = [&](const std::string& scope) {
+    EngineConfig cfg = graph_config();
+    cfg.graph_cache = &cache;
+    cfg.graph_cache_scope = scope;
+    Engine eng(cfg);
+    const auto id = eng.memory().register_array("a", 1 << 20);
+    {
+      Engine::GraphScope graph(eng, "pcg");
+      eng.for_each(s1, Range3{0, 8, 0, 8, 0, 8}, {out(id)},
+                   [](idx, idx, idx) {});
+    }
+    return eng.graph_stats();
+  };
+
+  const GraphStats first = run("shape/r0");  // cold: capture + publish
+  EXPECT_EQ(first.captures, 1);
+  EXPECT_EQ(first.cache_seeds, 0);
+  const GraphStats second = run("shape/r0");  // same scope: replay pass one
+  EXPECT_EQ(second.cache_seeds, 1);
+  EXPECT_EQ(second.captures, 0);
+  EXPECT_EQ(second.replays, 1);
+  EXPECT_EQ(second.divergences, 0);
+  const GraphStats other = run("shape/r1");  // another rank: its own capture
+  EXPECT_EQ(other.cache_seeds, 0);
+  EXPECT_EQ(other.captures, 1);
+
+  const GraphCache::Stats st = cache.stats();
+  EXPECT_EQ(st.publishes, 2);
+  EXPECT_EQ(st.hits, 1);
+  EXPECT_EQ(st.misses, 2);
+  EXPECT_EQ(st.duplicates, 0);
 }
 
 }  // namespace

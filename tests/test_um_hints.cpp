@@ -1,11 +1,12 @@
 // Unified-memory hint tests: the MemHintOp stream-IR plumbing (kind /
-// site / signature / certificate hash), engine-level gating (hints are
-// not even recorded outside Unified-on-GPU), the static verifier's
-// hint-correctness rules on seeded streams (a wrong-span prefetch and a
-// use-after-evict both surface as warnings), the preferred-host
-// suppression that keeps honest zero-copy staging quiet, certificate
-// minting/replay with hint ops in the stream, and the randomized
-// differential property that um_hints never changes physics.
+// site / signature), engine-level gating (hints are not even recorded
+// outside Unified-on-GPU), the static verifier's hint-correctness rules
+// on seeded streams (a wrong-span prefetch and a use-after-evict both
+// surface as warnings), the preferred-host suppression that keeps honest
+// zero-copy staging quiet, graph replay of hinted passes across engines
+// sharing a GraphCache (hint identity is part of the replay match), and
+// the randomized differential property that um_hints never changes
+// physics.
 
 #include <gtest/gtest.h>
 
@@ -13,11 +14,9 @@
 #include <string>
 
 #include "analysis/diagnostics.hpp"
-#include "analysis/stream_capture.hpp"
 #include "bench_support/run_experiment.hpp"
 #include "field/field.hpp"
 #include "par/engine.hpp"
-#include "par/env_config.hpp"
 #include "par/graph_cache.hpp"
 #include "variants/code_version.hpp"
 
@@ -33,7 +32,6 @@ par::EngineConfig unified_config() {
   par::EngineConfig cfg;
   cfg.memory = gpusim::MemoryMode::Unified;
   cfg.validate = true;
-  cfg.capture_stream = true;
   cfg.host_threads = 1;
   return cfg;
 }
@@ -49,7 +47,7 @@ void scrub(par::Engine& eng) {
 
 // ---------------------------------------------------------------------
 // 1. Stream-IR plumbing: hint ops are first-class ops with their own
-//    identity in signatures and certificate hashes.
+//    identity in signatures.
 
 par::StreamOp hint_op(gpusim::ArrayId id, MemHint h, par::Span span,
                       i64 bytes) {
@@ -82,23 +80,6 @@ TEST(MemHintOps, KindSiteCellsAndSignature) {
       a, hint_op(3, MemHint::PrefetchToDevice, par::Span::Full, 8192)));
 }
 
-TEST(MemHintOps, CertificateHashSeparatesDifferentHints) {
-  const u64 h0 = par::kStreamHashSeed;
-  const u64 ha = par::hash_op_signature(
-      h0, hint_op(3, MemHint::PrefetchToDevice, par::Span::Full, 4096));
-  const u64 hb = par::hash_op_signature(
-      h0, hint_op(3, MemHint::PrefetchToDevice, par::Span::Full, 8192));
-  const u64 hc = par::hash_op_signature(
-      h0, hint_op(3, MemHint::AdviseReadMostly, par::Span::Full, 4096));
-  EXPECT_NE(ha, hb);
-  EXPECT_NE(ha, hc);
-  EXPECT_NE(hb, hc);
-  // Deterministic: the same op folds to the same hash.
-  EXPECT_EQ(ha, par::hash_op_signature(
-                    h0, hint_op(3, MemHint::PrefetchToDevice,
-                                par::Span::Full, 4096)));
-}
-
 // ---------------------------------------------------------------------
 // 2. Engine gating: hints are UM-on-GPU-only. Under Manual memory or on
 //    a host engine they are not recorded, not costed, not anything.
@@ -108,10 +89,10 @@ TEST(MemHintOps, ManualMemoryEngineRecordsNoHints) {
   cfg.memory = gpusim::MemoryMode::Manual;
   par::Engine eng(cfg);
   field::Field f(eng, "uh_manual", 4, 4, 4);
-  const std::size_t before = eng.stream_capture()->events().size();
+  const i64 before = eng.static_verify().ops_checked;
   eng.mem_prefetch(f.id(), fbytes(f));
   eng.mem_advise(f.id(), MemHint::AdvisePreferredHost);
-  EXPECT_EQ(eng.stream_capture()->events().size(), before);
+  EXPECT_EQ(eng.static_verify().ops_checked, before);
   scrub(eng);
 }
 
@@ -120,19 +101,19 @@ TEST(MemHintOps, HostEngineRecordsNoHints) {
   cfg.gpu = false;
   par::Engine eng(cfg);
   field::Field f(eng, "uh_host", 4, 4, 4);
-  const std::size_t before = eng.stream_capture()->events().size();
+  const i64 before = eng.static_verify().ops_checked;
   eng.mem_prefetch(f.id(), fbytes(f));
-  EXPECT_EQ(eng.stream_capture()->events().size(), before);
+  EXPECT_EQ(eng.static_verify().ops_checked, before);
   scrub(eng);
 }
 
 TEST(MemHintOps, UnifiedGpuEngineRecordsAndCostsHints) {
   par::Engine eng(unified_config());
   field::Field f(eng, "uh_um", 4, 4, 4);
-  const std::size_t before = eng.stream_capture()->events().size();
+  const i64 before = eng.static_verify().ops_checked;
   eng.mem_prefetch(f.id(), fbytes(f));
   eng.mem_advise(f.id(), MemHint::AdviseReadMostly);
-  EXPECT_EQ(eng.stream_capture()->events().size(), before + 2);
+  EXPECT_EQ(eng.static_verify().ops_checked, before + 2);
   const auto& um = eng.memory().um_stats();
   EXPECT_EQ(um.prefetches, 1);
   EXPECT_EQ(um.advises, 1);
@@ -240,61 +221,70 @@ TEST(HintVerifier, RePrefetchClearsTheEvictedState) {
 }
 
 // ---------------------------------------------------------------------
-// 4. Certificates with hint ops: a hinted stream mints, replays with
-//    shadow checks skipped, and a replay whose hints differ fails the
-//    integrity hash (hint identity is folded into the fingerprint).
+// 4. Graph replay with hint ops: a hinted pass captured by one engine
+//    replays in the next engine of the same cache scope, and a pass whose
+//    hints differ diverges instead of replaying the other's graph.
 
-par::EngineConfig certify_config(par::GraphCache* cache,
-                                 const std::string& scope) {
-  par::EngineConfig cfg;
-  cfg.memory = gpusim::MemoryMode::Unified;
-  cfg.certify = true;
+par::EngineConfig graph_config(par::GraphCache* cache) {
+  par::EngineConfig cfg = unified_config();
+  cfg.graph_replay = true;
   cfg.graph_cache = cache;
-  cfg.graph_cache_scope = scope;
-  cfg.host_threads = 1;
+  cfg.graph_cache_scope = "uh_graph_scope/r0";
   return cfg;
 }
 
-void run_hinted_stream(par::Engine& eng, const std::string& field_name,
-                       i64 prefetch_bytes) {
+// One engine running one hinted graph pass that prefetches
+// 1/`divisor` of the field before writing all of it.
+par::GraphStats run_hinted_pass(par::GraphCache& cache,
+                                const std::string& field_name,
+                                i64 divisor) {
+  par::Engine eng(graph_config(&cache));
   field::Field f(eng, field_name, 4, 4, 4);
-  eng.mem_prefetch(f.id(), prefetch_bytes, par::Span::Full);
   static const par::KernelSite& site =
-      SIMAS_SITE("uh_cert_k", SiteKind::ParallelLoop, 0);
-  eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
-               [&](idx i, idx j, idx k) { f(i, j, k) = 1.0; });
+      SIMAS_SITE("uh_graph_k", SiteKind::ParallelLoop, 0);
+  {
+    par::Engine::GraphScope graph(eng, "uh_hinted");
+    eng.mem_prefetch(f.id(), fbytes(f) / divisor, par::Span::Full);
+    eng.for_each(site, par::Range3{0, 4, 0, 4, 0, 4}, {par::out(f.id())},
+                 [&](idx i, idx j, idx k) { f(i, j, k) = 1.0; });
+  }
   eng.device_sync();
+  const ValidationReport st = eng.static_verify();
+  EXPECT_EQ(st.errors(), 0) << st.to_string();
+  scrub(eng);
+  return eng.graph_stats();
 }
 
-TEST(HintCertificates, HintedStreamMintsAndReplays) {
-  if (par::EnvConfig::process().validate_fatal)
-    GTEST_SKIP() << "SIMAS_VALIDATE_FATAL disables certification";
+TEST(HintGraphs, HintedPassReplaysInTheNextEngineOfTheScope) {
   par::GraphCache cache;
-  const std::string scope = "uh_cert_scope/r0";
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    EXPECT_FALSE(eng.certified());
-    run_hinted_stream(eng, "uh_cert_a", 512);
-    const ValidationReport rep = eng.take_validation_report();
-    EXPECT_EQ(rep.errors(), 0) << rep.to_string();
-  }
-  ASSERT_NE(cache.find_certificate(scope), nullptr);
+  const par::GraphStats first = run_hinted_pass(cache, "uh_graph_a", 1);
+  EXPECT_EQ(first.captures, 1);
+  EXPECT_EQ(first.cache_seeds, 0);
+  EXPECT_EQ(cache.stats().publishes, 1);
 
-  // Identical hinted stream: certified replay, fingerprint matches.
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    ASSERT_TRUE(eng.certified());
-    run_hinted_stream(eng, "uh_cert_b", 512);
-    EXPECT_TRUE(eng.certified_stream_matches());
-  }
+  const par::GraphStats second = run_hinted_pass(cache, "uh_graph_b", 1);
+  EXPECT_EQ(second.cache_seeds, 1);
+  EXPECT_EQ(second.captures, 0);
+  EXPECT_EQ(second.replays, 1);
+  EXPECT_EQ(second.divergences, 0);
+  EXPECT_EQ(second.replayed_ops, 1);  // the kernel; hint ops carry no site
+  EXPECT_EQ(cache.stats().publishes, 1);
+}
 
-  // Same kernels, different prefetch bytes: the hash catches it.
-  {
-    par::Engine eng(certify_config(&cache, scope));
-    ASSERT_TRUE(eng.certified());
-    run_hinted_stream(eng, "uh_cert_c", 1024);
-    EXPECT_FALSE(eng.certified_stream_matches());
-  }
+TEST(HintGraphs, DifferentPrefetchBytesDivergeFromTheCachedGraph) {
+  par::GraphCache cache;
+  (void)run_hinted_pass(cache, "uh_graph_c", 1);  // capture + publish
+  // Same kernel, half the prefetch: the first op already mismatches.
+  const par::GraphStats half = run_hinted_pass(cache, "uh_graph_d", 2);
+  EXPECT_EQ(half.cache_seeds, 1);
+  EXPECT_EQ(half.replays, 1);
+  EXPECT_EQ(half.divergences, 1);
+  EXPECT_EQ(half.replayed_ops, 0);
+  // The divergence invalidated that engine's copy only: the cached graph
+  // still replays for a matching pass.
+  const par::GraphStats again = run_hinted_pass(cache, "uh_graph_e", 1);
+  EXPECT_EQ(again.replays, 1);
+  EXPECT_EQ(again.divergences, 0);
 }
 
 // ---------------------------------------------------------------------

@@ -8,13 +8,18 @@
 // cannot see a cell-body change that moves every run equally; a committed
 // fingerprint can.
 //
+// Every case runs at each host thread count in kThreadCounts (threads per
+// rank) and must fingerprint identically at all of them: block
+// partitioning and partial-sum order depend on the problem shape only,
+// never on the thread count. The baseline holds one entry per case.
+//
 // Usage:
 //   physics_fingerprint                 print the fingerprints as JSON
 //   physics_fingerprint --check FILE    compare with a committed baseline;
 //                                       exits 1 on any difference
 //
 // The rule is exact: a hash or an iteration count that differs from the
-// baseline fails. Regenerate the baseline only for a change that moves the
+// baseline, or between thread counts, fails. Regenerate the baseline only for a change that moves the
 // physics on purpose, and say why in CHANGES.md.
 
 #include <algorithm>
@@ -72,6 +77,7 @@ const std::vector<Case>& cases() {
 }
 
 constexpr int kSteps = 3;
+constexpr int kThreadCounts[] = {1, 3};
 
 constexpr u64 kFnvOffset = 0xcbf29ce484222325ull;
 constexpr u64 kFnvPrime = 0x100000001b3ull;
@@ -91,7 +97,7 @@ struct Fingerprint {
   std::vector<int> visc_iters, cond_iters;
 };
 
-Fingerprint run_case(const Case& cs) {
+Fingerprint run_case(const Case& cs, int threads) {
   grid::GridConfig g = bench_support::bench_grid();
   std::vector<u64> rank_hash(static_cast<std::size_t>(cs.nranks), 0);
   Fingerprint fp;
@@ -100,7 +106,7 @@ Fingerprint run_case(const Case& cs) {
   mpisim::World world(cs.nranks);
   world.run([&](int rank) {
     par::EngineConfig ecfg =
-        variants::engine_config(cs.version, gpusim::a100_40gb(), 1);
+        variants::engine_config(cs.version, gpusim::a100_40gb(), threads);
     ecfg.overlap_halo = cs.overlap;
     ecfg.graph_replay = cs.graph_replay;
     ecfg.um_hints = cs.um_hints;
@@ -174,9 +180,26 @@ json::Value to_json(const Case& cs, const Fingerprint& fp) {
   return e;
 }
 
-json::Value::Array all_fingerprints() {
+/// One entry per case, from the first thread count. Every other thread
+/// count that fingerprints differently is printed and counted in
+/// `mismatches`.
+json::Value::Array all_fingerprints(int& mismatches) {
   json::Value::Array entries;
-  for (const Case& cs : cases()) entries.push_back(to_json(cs, run_case(cs)));
+  for (const Case& cs : cases()) {
+    json::Value first;
+    for (const int threads : kThreadCounts) {
+      json::Value e = to_json(cs, run_case(cs, threads));
+      if (threads == kThreadCounts[0]) {
+        first = std::move(e);
+      } else if (json::to_string(e) != json::to_string(first)) {
+        std::cerr << "FAIL  " << threads << " threads/rank: "
+                  << json::to_string(e) << "\n  " << kThreadCounts[0]
+                  << " thread/rank: " << json::to_string(first) << '\n';
+        ++mismatches;
+      }
+    }
+    entries.push_back(std::move(first));
+  }
   return entries;
 }
 
@@ -201,8 +224,8 @@ int check(const std::string& path) {
   }
 
   const json::Value::Array& want = base_entries->as_array();
-  const json::Value::Array got = all_fingerprints();
   int failures = 0;
+  const json::Value::Array got = all_fingerprints(failures);
   if (want.size() != got.size()) {
     std::cout << "entry count: baseline " << want.size() << ", now "
               << got.size() << '\n';
@@ -232,12 +255,13 @@ int main(int argc, char** argv) {
     return 2;
   }
   // One entry per line, so a baseline diff shows which run moved.
-  const json::Value::Array entries = all_fingerprints();
+  int mismatches = 0;
+  const json::Value::Array entries = all_fingerprints(mismatches);
   std::cout << "{\n  \"grid\": \"bench_grid\",\n  \"steps\": " << kSteps
             << ",\n  \"entries\": [\n";
   for (std::size_t e = 0; e < entries.size(); ++e)
     std::cout << "    " << json::to_string(entries[e])
               << (e + 1 < entries.size() ? ",\n" : "\n");
   std::cout << "  ]\n}\n";
-  return 0;
+  return mismatches == 0 ? 0 : 1;
 }

@@ -1,10 +1,9 @@
 // simas_lint: ahead-of-run static verification of SIMAS kernel streams.
 //
 // For every solver code version x halo-exchange mode x rank count, runs a
-// few steps of the MAS-analog solver with stream capture on (no runtime
-// shadow checks), replays each rank's recorded event trace through the
-// static verifier (analysis/static_verifier.hpp), and prints one table
-// row per configuration. Any Error-severity finding makes the exit status
+// few steps of the MAS-analog solver with each rank's event stream fed
+// live through the stream checker (analysis/static_verifier.hpp; no
+// runtime shadow checks), and prints one table row per configuration. Any Error-severity finding makes the exit status
 // nonzero, so CI can gate on "no new diagnostics".
 //
 // Unified-memory code versions are additionally swept with um_hints on
@@ -19,7 +18,7 @@
 // personality (par::all_personalities). Each cell re-verifies the stream
 // that configuration actually records — implicit-UM personalities flip
 // Manual DC versions to Unified, hint-ignoring personalities demote the
-// hint-correctness findings to notes — so the exit status certifies the
+// hint-correctness findings to notes — so the exit status covers the
 // whole matrix, not just the nvfortran/A100 column. To keep the cell
 // count bounded, matrix mode defaults to --ranks 2 --overlap 1.
 //
@@ -141,7 +140,7 @@ int main(int argc, char** argv) {
               cfg.measure_steps = steps;
               cfg.overlap_halo = overlap != 0;
               cfg.um_hints = hints != 0;
-              cfg.capture_stream = true;
+              cfg.check_stream = true;
               const bench_support::ExperimentResult res =
                   bench_support::run_experiment(cfg);
 
