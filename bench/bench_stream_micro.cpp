@@ -52,7 +52,7 @@ void triad(benchmark::State& state, par::LoopModel loops,
   }
   // Modeled bandwidth: bytes per modeled second on the simulated device.
   const i64 bytes_touched =
-      eng.metrics_registry().counter("engine.bytes_touched").value();
+      eng.metrics_snapshot().counter("engine.bytes_touched");
   const double modeled_bw =
       static_cast<double>(bytes_touched) / eng.ledger().now() / 1e9;
   state.counters["modeled_GBps"] = modeled_bw;

@@ -196,22 +196,19 @@ void StreamChecker::on_op(const par::StreamOp& op) {
   const std::string& site = ko.site->name;
   const FoldedList folded = fold_accesses(ko.accesses);
 
-  // Fusion-chain bookkeeping under the scheduler's own fusion rule.
-  bool fused = false;
-  if (kind == par::OpKind::Launch) {
-    fused = lowering_.fuses(*ko.site, last_group_) && op_slot_ < kMaxChainSlot;
-    last_group_ = ko.site->fusion_group;
-    if (fused) {
-      ++op_slot_;
-    } else {
-      ++chain_id_;
-      op_slot_ = 0;
-      chain_written_.clear();
-    }
+  // Fusion-chain bookkeeping under the scheduler's own per-kind rule.
+  const bool fused =
+      lowering_.fuses(ko, last_group_) && op_slot_ < kMaxChainSlot;
+  last_group_ = par::Lowering::chain_group(ko);
+  if (fused) {
+    ++op_slot_;
   } else {
-    // Reductions are synchronous under every model: they end the chain
-    // and drain the async queue before the host consumes the result.
-    reset_chain();
+    ++chain_id_;
+    op_slot_ = 0;
+    chain_written_.clear();
+  }
+  if (par::Lowering::synchronizes(ko)) {
+    // The host consumes a reduction's result: drain the async queue.
     if (lowering_.launches_async(*ko.site)) {
       diagnose(Check::AsyncReductionNoWait, site, {},
                "reduction result is consumed on the host immediately, but "
@@ -223,8 +220,7 @@ void StreamChecker::on_op(const par::StreamOp& op) {
     drain_async_queue();
   }
 
-  const bool launch_async =
-      kind == par::OpKind::Launch && lowering_.launches_async(*ko.site);
+  const bool launch_async = lowering_.launches_async(ko);
 
   for (const FoldedAccess& a : folded) {
     ArrState& st = state_for(a.id);
@@ -233,7 +229,7 @@ void StreamChecker::on_op(const par::StreamOp& op) {
     // loop (`do concurrent` forbids it; OpenACC races without atomic).
     // Atomic-update and reduction site kinds carry the protection the
     // declaration calls for.
-    if (kind == par::OpKind::Launch && a.write && a.scatter &&
+    if (ko.kind == par::OpKind::Launch && a.write && a.scatter &&
         ko.site->kind != par::SiteKind::AtomicUpdate &&
         ko.site->kind != par::SiteKind::ArrayReduction) {
       diagnose(Check::DuplicateWrite, site, st.name,
@@ -361,12 +357,10 @@ void StreamChecker::on_op(const par::StreamOp& op) {
   }
 
   // Open the chain to this kernel's pure writes (declaration standing in
-  // for the observed touch).
-  if (kind == par::OpKind::Launch) {
-    for (const FoldedAccess& a : folded) {
-      if (!a.write || a.read || chain_wrote(a.id)) continue;
-      chain_written_.push_back(ChainWrite{a.id, a.write_span});
-    }
+  // for the observed touch). A reduction's chain closes behind it.
+  for (const FoldedAccess& a : folded) {
+    if (!a.write || a.read || chain_wrote(a.id)) continue;
+    chain_written_.push_back(ChainWrite{a.id, a.write_span});
   }
 }
 

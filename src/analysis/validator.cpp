@@ -86,7 +86,7 @@ void Validator::on_event(const par::OpEvent& ev) {
       // clears it.
       if (const par::KernelOp* ko = par::kernel_op(*ev.op)) {
         pending_.site = ko->site;
-        pending_.kind = par::op_kind(*ev.op);
+        pending_.kind = ko->kind;
         pending_.cells = ko->cells;
         pending_.accesses = ko->accesses;
         pending_.valid = true;

@@ -212,7 +212,6 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     ecfg.overlap_halo = cfg.overlap_halo;
     ecfg.um_hints = cfg.um_hints;
     ecfg.ctx = &ctx;
-    ecfg.shared_pool = cfg.shared_pool;
     ecfg.graph_cache = cfg.graph_cache;
     ecfg.trace_id = cfg.trace.trace_id;
     ecfg.flight_rank = rank;
@@ -367,9 +366,9 @@ ExperimentResult run_experiment(const ExperimentConfig& cfg) {
     }
   }
 
-  // SIMAS_PROFILE forces the printout; read from the one-time env
+  // SIMAS_PROFILE prints the profile; read from the one-time env
   // snapshot, never from getenv() mid-run.
-  if (cfg.profile || ctx.env().profile) {
+  if (ctx.env().profile) {
     result.profile.print(std::cout);
     std::cout << '\n';
   }

@@ -23,7 +23,6 @@
 
 namespace simas::par {
 class SimContext;
-class ThreadPool;
 class GraphCache;
 }  // namespace simas::par
 
@@ -111,19 +110,13 @@ struct ExperimentConfig {
   /// per-rank reports land in ExperimentResult::static_reports. No
   /// kernels are shadowed; modeled time is unaffected.
   bool check_stream = false;
-  /// Print the cross-rank hot-spot profile (top kernel sites by modeled
-  /// time) after the run. Also forced by the SIMAS_PROFILE environment
-  /// variable (via the context's EnvConfig snapshot); the merged profile
-  /// is returned in ExperimentResult::profile either way.
-  bool profile = false;
 
   // --- Re-entrancy / service-layer hooks -------------------------------
-  /// Context supplying the env snapshot (and optional default shared
-  /// pool) for every engine this run creates. Null = the process context.
+  /// Context supplying the env snapshot and the optional shared pool
+  /// (the JobServer's) that every engine this run creates borrows its
+  /// execution threads from. Null = the process context; without a shared
+  /// pool each rank engine owns a pool of `rank_threads`.
   const par::SimContext* ctx = nullptr;
-  /// Execution threads borrowed from the caller (the JobServer's shared
-  /// pool). Null = each rank engine owns a pool of `rank_threads`.
-  par::ThreadPool* shared_pool = nullptr;
   /// Cross-engine captured-graph cache. When set, each rank engine seeds
   /// its graph scopes from (and publishes finished captures to) the cache
   /// under `shape_key() + "/r<rank>"`, so jobs of identical shape replay
@@ -199,6 +192,8 @@ struct ExperimentResult {
   /// mpi.exposed_minutes, and mpi.hidden_minutes (overlapped MPI transfer
   /// hidden behind compute, not part of the wall).
   telemetry::MetricsSnapshot metrics;
+  /// All-rank hot-spot profile; SIMAS_PROFILE (via the context's env
+  /// snapshot) also prints it after the run.
   telemetry::SiteProfileSnapshot profile;
   /// Per-rank static-verifier reports (ExperimentConfig::check_stream;
   /// empty otherwise). Indexed by rank.

@@ -21,14 +21,12 @@ Engine::Engine(EngineConfig cfg)
       cost_(cfg.device),
       mem_(cfg.memory, &cost_, &ledger_),
       sched_(SchedulerContext{&cfg_, &cost_, &ledger_, &mem_, &tracer_,
-                              &metrics_, &profiler_}) {
+                              &profiler_}) {
   const SimContext& ctx = cfg_.ctx != nullptr ? *cfg_.ctx
                                               : SimContext::process();
-  // Execution threads: borrow the configured/shared pool, else own one.
-  ThreadPool* shared =
-      cfg_.shared_pool != nullptr ? cfg_.shared_pool : ctx.shared_pool();
-  if (shared != nullptr) {
-    pool_ = shared;
+  // Execution threads: borrow the context's shared pool, else own one.
+  if (ctx.shared_pool() != nullptr) {
+    pool_ = ctx.shared_pool();
   } else {
     owned_pool_ = std::make_unique<ThreadPool>(cfg_.host_threads);
     pool_ = owned_pool_.get();
@@ -221,31 +219,11 @@ gpusim::ScaleClass Engine::resolve_scale(
   return gpusim::ScaleClass::Volume;
 }
 
-void Engine::record_launch(const KernelSite& site, i64 cells,
+void Engine::record_kernel(OpKind kind, const KernelSite& site, i64 cells,
                            std::initializer_list<Access> acc) {
-  LaunchOp op;
-  op.site = &site;
-  op.cells = cells;
-  op.accesses.assign(acc.begin(), acc.end());
-  op.scale = resolve_scale(site, acc);
-  op.category = kernel_category_;
-  submit(StreamOp{std::move(op)});
-}
-
-void Engine::record_reduce(const KernelSite& site, i64 cells,
-                           std::initializer_list<Access> acc) {
-  ReduceOp op;
-  op.site = &site;
-  op.cells = cells;
-  op.accesses.assign(acc.begin(), acc.end());
-  op.scale = resolve_scale(site, acc);
-  op.category = kernel_category_;
-  submit(StreamOp{std::move(op)});
-}
-
-void Engine::record_array_reduce(const KernelSite& site, i64 cells,
-                                 std::initializer_list<Access> acc) {
-  ArrayReduceOp op;
+  metrics_.kernel_cells.observe(static_cast<double>(cells));
+  KernelOp op;
+  op.kind = kind;
   op.site = &site;
   op.cells = cells;
   op.accesses.assign(acc.begin(), acc.end());
@@ -330,11 +308,8 @@ void Engine::graph_begin(const std::string& name) {
     // First entry into this scope: seed from the cross-engine cache so
     // jobs of identical shape replay from their very first pass. The
     // local copy is engine-owned; divergence invalidates it locally only.
-    if (const CapturedGraph* cached =
-            cfg_.graph_cache->find(cfg_.graph_cache_scope, name)) {
-      *active_graph_ = *cached;
+    if (cfg_.graph_cache->find(cfg_.graph_cache_scope, name, active_graph_))
       graph_stats_.cache_seeds++;
-    }
   }
   if (active_graph_->captured()) {
     graph_mode_ = GraphMode::Replay;
@@ -387,11 +362,17 @@ void Engine::graph_end() {
 }
 
 telemetry::MetricsSnapshot Engine::metrics_snapshot() {
-  // Publish the cold families into the registry before snapshotting.
+  // Publish the derived families into the registry before snapshotting.
   // Registration is idempotent (name lookup after the first call); `set`
   // mirrors the externally-accumulated totals. Modeled times are gauges
   // merged with Max across ranks (wall semantics: the slowest rank is the
   // wall), byte/call totals are counters and sum.
+  const telemetry::SiteProfileRow kernels = profiler_.totals();
+  registry_.counter("engine.launches").set(kernels.launches);
+  registry_.counter("engine.loops").set(kernels.launches + kernels.fused);
+  registry_.counter("engine.fused_launches").set(kernels.fused);
+  registry_.counter("engine.reduction_loops").set(kernels.reductions);
+  registry_.counter("engine.bytes_touched").set(kernels.bytes);
   registry_.gauge("time.modeled_seconds").set(ledger_.now());
   registry_.gauge("time.compute_seconds")
       .set(ledger_.total(gpusim::TimeCategory::Compute));

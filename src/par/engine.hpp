@@ -4,7 +4,8 @@
 //
 // One Engine per simulated rank. The Engine is a *recording front-end*:
 // every parallel loop, reduction, sync and fusion break is reified as a
-// kernel-stream IR op (par/stream.hpp) and handed to the engine's one
+// kernel-stream IR op (par/stream.hpp) — loops and reductions through one
+// record_kernel as one KernelOp type — and handed to the engine's one
 // Scheduler (par/scheduler.hpp), which performs all modeled-time
 // accounting. Kernels *execute* on host threads with deterministic
 // partitioning (results are independent of thread count and execution
@@ -91,9 +92,11 @@ class Engine : private gpusim::MemoryObserver {
   telemetry::Registry& metrics_registry() { return registry_; }
   /// Per-kernel-site hot-spot accumulation (always on; O(1) per launch).
   const telemetry::SiteProfiler& site_profiler() const { return profiler_; }
-  /// Full metrics snapshot. Publishes the colder families first — time.*
+  /// Full metrics snapshot. Publishes the derived families first — the
+  /// per-kernel engine.* counts as sums over the site profiler, time.*
   /// from the ClockLedger, mem.* from MemoryStats/UmStats, graph.* from
-  /// GraphStats — so one call captures everything the rank knows.
+  /// GraphStats — so one call captures everything the rank knows. Live
+  /// registry handles do not see the engine.* counts; read them here.
   telemetry::MetricsSnapshot metrics_snapshot();
 
   /// Live shadow validator; nullptr when validation is off.
@@ -164,7 +167,7 @@ class Engine : private gpusim::MemoryObserver {
   template <class F>
   void for_each(const KernelSite& site, Range3 r,
                 std::initializer_list<Access> acc, F&& body) {
-    record_launch(site, r.count(), acc);
+    record_kernel(OpKind::Launch, site, r.count(), acc);
     body_begin();
     execute3(r, std::forward<F>(body));
     body_end();
@@ -174,7 +177,7 @@ class Engine : private gpusim::MemoryObserver {
   template <class F>
   void for_each1(const KernelSite& site, Range1 r,
                  std::initializer_list<Access> acc, F&& body) {
-    record_launch(site, r.count(), acc);
+    record_kernel(OpKind::Launch, site, r.count(), acc);
     body_begin();
     execute1(r, std::forward<F>(body));
     body_end();
@@ -185,7 +188,7 @@ class Engine : private gpusim::MemoryObserver {
   template <class F>
   real reduce_sum(const KernelSite& site, Range3 r,
                   std::initializer_list<Access> acc, F&& term) {
-    record_reduce(site, r.count(), acc);
+    record_kernel(OpKind::Reduce, site, r.count(), acc);
     body_begin();
     const real v = reduce3(r, std::forward<F>(term), /*take_max=*/false);
     body_end();
@@ -195,7 +198,7 @@ class Engine : private gpusim::MemoryObserver {
   template <class F>
   real reduce_max(const KernelSite& site, Range3 r,
                   std::initializer_list<Access> acc, F&& term) {
-    record_reduce(site, r.count(), acc);
+    record_kernel(OpKind::Reduce, site, r.count(), acc);
     body_begin();
     const real v = reduce3(r, std::forward<F>(term), /*take_max=*/true);
     body_end();
@@ -205,7 +208,7 @@ class Engine : private gpusim::MemoryObserver {
   template <class F>
   real reduce_sum1(const KernelSite& site, Range1 r,
                    std::initializer_list<Access> acc, F&& term) {
-    record_reduce(site, r.count(), acc);
+    record_kernel(OpKind::Reduce, site, r.count(), acc);
     body_begin();
     const real v = reduce1(r, std::forward<F>(term));
     body_end();
@@ -223,7 +226,7 @@ class Engine : private gpusim::MemoryObserver {
   void array_reduce(const KernelSite& site, Range3 r,
                     std::initializer_list<Access> acc, std::span<real> out,
                     F&& term) {
-    record_array_reduce(site, r.count(), acc);
+    record_kernel(OpKind::ArrayReduce, site, r.count(), acc);
     body_begin();
     execute_array_reduce(r, out, std::forward<F>(term));
     body_end();
@@ -269,12 +272,8 @@ class Engine : private gpusim::MemoryObserver {
  private:
   // Op recording (front-end): build the IR op and submit it to the
   // scheduler (and to the active graph capture/replay, if any).
-  void record_launch(const KernelSite& site, i64 cells,
+  void record_kernel(OpKind kind, const KernelSite& site, i64 cells,
                      std::initializer_list<Access> acc);
-  void record_reduce(const KernelSite& site, i64 cells,
-                     std::initializer_list<Access> acc);
-  void record_array_reduce(const KernelSite& site, i64 cells,
-                           std::initializer_list<Access> acc);
   void submit(StreamOp op);
   /// Hand one event to every observer, in list order.
   void notify(const OpEvent& ev) {
@@ -541,9 +540,8 @@ class Engine : private gpusim::MemoryObserver {
   gpusim::MemoryManager mem_;
   FlightLog flight_;
   trace::Recorder tracer_;
-  /// Kernel execution threads: borrowed (cfg.shared_pool / the context's
-  /// shared pool — N engines multiplexing one host-thread budget) or
-  /// owned. The multi-job pool makes concurrent run_blocks from several
+  /// Kernel execution threads: borrowed (the context's shared pool — N
+  /// engines multiplexing one host-thread budget) or owned. The multi-job pool makes concurrent run_blocks from several
   /// engines safe; determinism is unaffected either way (partitioning is
   /// caller-defined, the pool only places blocks).
   std::unique_ptr<ThreadPool> owned_pool_;
@@ -552,6 +550,7 @@ class Engine : private gpusim::MemoryObserver {
   telemetry::Registry registry_;
   /// Hot-path handles into registry_, bound once in the constructor.
   telemetry::EngineMetrics metrics_;
+  /// The one store of the per-kernel counts, fed by the scheduler.
   telemetry::SiteProfiler profiler_;
   gpusim::TimeCategory kernel_category_ = gpusim::TimeCategory::Compute;
   Scheduler sched_;

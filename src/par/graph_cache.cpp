@@ -2,16 +2,17 @@
 
 namespace simas::par {
 
-const CapturedGraph* GraphCache::find(const std::string& scope,
-                                      const std::string& name) {
+bool GraphCache::find(const std::string& scope, const std::string& name,
+                      CapturedGraph* out) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = map_.find(key(scope, name));
   if (it == map_.end()) {
     stats_.misses++;
-    return nullptr;
+    return false;
   }
   stats_.hits++;
-  return it->second.get();
+  *out = *it->second;
+  return true;
 }
 
 bool GraphCache::publish(const std::string& scope,

@@ -12,9 +12,9 @@
 // Publication is first-wins: concurrent engines capturing the same scope
 // race benignly (both captures are identical by construction; the second
 // publish is dropped). Lookups copy the graph into the engine under the
-// cache mutex — the engine then owns its copy and mutates it freely
-// (invalidation on divergence stays engine-local and never poisons the
-// cache).
+// cache mutex and hand out no reference to the stored entry — the engine
+// then owns its copy and mutates it freely (invalidation on divergence
+// stays engine-local and never poisons the cache).
 
 #include <memory>
 #include <mutex>
@@ -35,10 +35,10 @@ class GraphCache {
     i64 duplicates = 0; ///< publishes dropped (first-wins)
   };
 
-  /// Captured graph for (scope, name), or nullptr. The returned pointer
-  /// stays valid for the cache's lifetime (entries are never removed).
-  const CapturedGraph* find(const std::string& scope,
-                            const std::string& name);
+  /// Copy the captured graph for (scope, name) into `*out` under the
+  /// cache mutex; false (and `*out` untouched) when there is none.
+  bool find(const std::string& scope, const std::string& name,
+            CapturedGraph* out);
 
   /// Store a finished capture; returns false if an entry already exists
   /// (first publisher wins).

@@ -33,23 +33,24 @@ Lowering lowering(const EngineConfig& cfg) {
     l.array_reduce_traffic = cfg.loops == LoopModel::Dc2x
                                  ? t.reduce_clause_traffic
                                  : t.atomic_reduce_traffic;
+  l.launch_traffic = 1.0 + cfg.wrapper_init_overhead;
   l.honors_mem_prefetch = t.honors_mem_prefetch;
   l.honors_mem_advise = t.honors_mem_advise;
   return l;
 }
 
 void Scheduler::consume(const StreamOp& op) {
-  switch (op_kind(op)) {
-    case OpKind::Launch: on_launch(std::get<LaunchOp>(op)); break;
-    case OpKind::Reduce: on_reduce(std::get<ReduceOp>(op)); break;
-    case OpKind::ArrayReduce:
-      on_array_reduce(std::get<ArrayReduceOp>(op));
-      break;
-    case OpKind::Sync: on_sync(std::get<SyncOp>(op)); break;
-    case OpKind::FusionBreak:
-      on_fusion_break(std::get<FusionBreakOp>(op));
-      break;
-    case OpKind::MemHint: on_mem_hint(std::get<MemHintOp>(op)); break;
+  if (const KernelOp* k = kernel_op(op)) {
+    on_kernel(*k);
+  } else if (const auto* h = std::get_if<MemHintOp>(&op)) {
+    on_mem_hint(*h);
+  } else {
+    // SyncOp and FusionBreakOp end the fusion chain. Draining the async
+    // queue costs one launch latency on the GPU.
+    last_fusion_group_ = 0;
+    if (std::holds_alternative<SyncOp>(op) && ctx_.cfg->gpu)
+      ctx_.ledger->advance(ctx_.cfg->device.launch_overhead_s * 0.5,
+                           gpusim::TimeCategory::LaunchGap);
   }
 }
 
@@ -111,14 +112,14 @@ void Scheduler::on_mem_hint(const MemHintOp& op) {
                             ctx_.mem->record(op.id).name);
 }
 
-void Scheduler::charge_launch_and_bytes(const KernelSite& site, i64 cells,
-                                        i64 bytes, gpusim::ScaleClass scale,
-                                        bool fused, bool async,
-                                        double extra_traffic_factor,
-                                        gpusim::TimeCategory category) {
+void Scheduler::on_kernel(const KernelOp& op) {
+  const i64 bytes = touch_accesses(op.accesses, op.cells);
+  const bool fused = lowering_.fuses(op, last_fusion_group_);
+  last_fusion_group_ = Lowering::chain_group(op);
   const bool unified = lowering_.unified_gpu;
   const double t0 = ctx_.ledger->now();
-  double launch = ctx_.cost->launch_time(fused, async, unified);
+  double launch = ctx_.cost->launch_time(fused, lowering_.launches_async(op),
+                                         unified);
   if (replay_active_) {
     // Inside a replayed graph the kernel was pre-instantiated: no launch
     // submission cost. UM inter-kernel gaps are a paging artifact, not a
@@ -129,70 +130,14 @@ void Scheduler::charge_launch_and_bytes(const KernelSite& site, i64 cells,
     launch = graphed;
   }
   ctx_.ledger->advance(launch, gpusim::TimeCategory::LaunchGap);
-  const double traffic =
-      ctx_.cost->kernel_time(bytes, scale) * extra_traffic_factor;
-  ctx_.ledger->advance(traffic, category);
-  ctx_.metrics->bytes_touched.add(bytes);
-  if (ctx_.profiler != nullptr)
-    ctx_.profiler->record(site, ctx_.ledger->now() - t0, cells, bytes,
-                          fused);
+  ctx_.ledger->advance(
+      ctx_.cost->kernel_time(bytes, op.scale) * lowering_.traffic(op),
+      op.category);
+  ctx_.profiler->record(*op.site, ctx_.ledger->now() - t0, op.cells, bytes,
+                        fused, Lowering::synchronizes(op));
   if (ctx_.tracer->enabled())
     ctx_.tracer->record(t0, ctx_.ledger->now(), trace::Lane::Kernel,
-                        site.name);
-}
-
-void Scheduler::on_launch(const LaunchOp& op) {
-  ctx_.metrics->loops.add();
-  ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
-  const i64 bytes = touch_accesses(op.accesses, op.cells);
-
-  const bool fused = lowering_.fuses(*op.site, last_fusion_group_);
-  if (fused)
-    ctx_.metrics->fused.add();
-  else
-    ctx_.metrics->launches.add();
-  last_fusion_group_ = op.site->fusion_group;
-
-  charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale, fused,
-                          lowering_.launches_async(*op.site),
-                          1.0 + ctx_.cfg->wrapper_init_overhead, op.category);
-}
-
-void Scheduler::on_reduce(const ReduceOp& op) {
-  ctx_.metrics->loops.add();
-  ctx_.metrics->reductions.add();
-  ctx_.metrics->launches.add();
-  ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
-  last_fusion_group_ = 0;  // reductions synchronize; they never fuse
-  const i64 bytes = touch_accesses(op.accesses, op.cells);
-  // Reductions are synchronous under every model (the DC reduce clause and
-  // the OpenACC reduction clause both imply a result dependency).
-  charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale,
-                          /*fused=*/false, /*async=*/false, 1.0, op.category);
-}
-
-void Scheduler::on_array_reduce(const ArrayReduceOp& op) {
-  ctx_.metrics->loops.add();
-  ctx_.metrics->reductions.add();
-  ctx_.metrics->launches.add();
-  ctx_.metrics->kernel_cells.observe(static_cast<double>(op.cells));
-  last_fusion_group_ = 0;
-  const i64 bytes = touch_accesses(op.accesses, op.cells);
-  charge_launch_and_bytes(*op.site, op.cells, bytes, op.scale,
-                          /*fused=*/false, /*async=*/false,
-                          lowering_.array_reduce_traffic, op.category);
-}
-
-void Scheduler::on_sync(const SyncOp&) {
-  last_fusion_group_ = 0;
-  // Draining the async queue costs one launch latency on the GPU.
-  if (ctx_.cfg->gpu)
-    ctx_.ledger->advance(ctx_.cfg->device.launch_overhead_s * 0.5,
-                         gpusim::TimeCategory::LaunchGap);
-}
-
-void Scheduler::on_fusion_break(const FusionBreakOp&) {
-  last_fusion_group_ = 0;
+                        op.site->name);
 }
 
 }  // namespace simas::par

@@ -3,13 +3,16 @@
 // the consumer of the kernel-stream IR (par/stream.hpp).
 //
 // The Engine records ops; the Scheduler consumes them and drives the cost
-// model, clock ledger, memory manager and trace recorder. The code
-// versions differ only in how loops are lowered, and that decision is
-// plain data: par::lowering() folds loop model x device x memory mode x
-// the ablation toggles x the compiler personality into one Lowering per
-// engine. The Scheduler charges ops under it, and the StreamChecker
-// (analysis/static_verifier.hpp) reads the same value for its fusion
-// chains and async queue:
+// model, clock ledger, memory manager, site profiler and trace recorder.
+// Every kernel op — launch or reduction — goes through one handler and
+// one charge point. The code versions differ only in how loops are
+// lowered, and that decision is plain data: par::lowering() folds loop
+// model x device x memory mode x the ablation toggles x the compiler
+// personality into one Lowering per engine, which also carries the
+// per-kind rule (only plain launches fuse, go async and pay the Code-6
+// wrapper traffic). The Scheduler charges ops under it, and the
+// StreamChecker (analysis/static_verifier.hpp) reads the same value for
+// its fusion chains and async queue:
 //
 //  * LoopModel::Acc    — OpenACC analog: consecutive same-group launches
 //    merge into one kernel (fusion); async-capable launches hide part of
@@ -32,7 +35,6 @@
 #include "gpusim/memory_manager.hpp"
 #include "par/compiler_personality.hpp"
 #include "par/stream.hpp"
-#include "telemetry/engine_metrics.hpp"
 #include "telemetry/profiler.hpp"
 #include "trace/trace.hpp"
 #include "util/types.hpp"
@@ -40,7 +42,6 @@
 namespace simas::par {
 
 class SimContext;
-class ThreadPool;
 class GraphCache;
 
 enum class LoopModel { Acc, Dc2018, Dc2x };
@@ -101,13 +102,10 @@ struct EngineConfig {
 
   // ---- Re-entrancy / service-layer wiring (see par/sim_context.hpp) ----
   /// Context the engine runs under: environment snapshot, site table,
-  /// optional shared host pool. nullptr = SimContext::process() (the
-  /// immutable process-default context).
+  /// optional shared host pool (borrowed for kernel execution instead of
+  /// owning host_threads workers; it must outlive the Engine). nullptr =
+  /// SimContext::process() (the immutable process-default context).
   const SimContext* ctx = nullptr;
-  /// Borrow this pool for kernel execution instead of owning worker
-  /// threads (overrides host_threads; also set via ctx->shared_pool()).
-  /// Must outlive the Engine.
-  ThreadPool* shared_pool = nullptr;
   /// Cross-engine captured-graph reuse: on first entry to a graph scope
   /// the engine seeds its local graph from cache[graph_cache_scope, name]
   /// (replay from pass one), and publishes its own finished captures
@@ -129,7 +127,8 @@ struct EngineConfig {
 
 /// How one engine configuration lowers loops, reductions and hints,
 /// resolved once per engine by par::lowering(). The one place the
-/// fusion, async and array-reduction rules of the code versions live.
+/// fusion, async and traffic rules of the code versions live, per site
+/// and per kernel-op kind.
 struct Lowering {
   /// Consecutive same-group launches may merge into one kernel: ACC on
   /// the device, fusion enabled, and a toolchain that fuses ACC regions.
@@ -145,6 +144,9 @@ struct Lowering {
   /// form under ACC / DC 2018 (paper Listing 3), its `reduce` clause
   /// under DC 202X (Listing 5), 1.0 off the device.
   double array_reduce_traffic = 1.0;
+  /// Traffic multiplier for plain launches: 1 + the Code-6 wrapper
+  /// init overhead (EngineConfig::wrapper_init_overhead).
+  double launch_traffic = 1.0;
   /// Hint lowering of the modeled toolchain. An ignored hint class is
   /// inert at run time, and the checker demotes its findings to notes.
   bool honors_mem_prefetch = true;
@@ -160,6 +162,36 @@ struct Lowering {
   bool launches_async(const KernelSite& site) const {
     return async && site.async_capable;
   }
+
+  // The per-kind rule. A reduction's result is consumed on the host, so
+  // under every model it is synchronous and ends the fusion chain (the
+  // DC reduce clause and the OpenACC reduction clause both imply the
+  // dependency); only plain launches fuse, go async and pay the wrapper
+  // traffic.
+
+  /// `op` is a reduction: it ends the fusion chain and drains the async
+  /// queue.
+  static bool synchronizes(const KernelOp& op) {
+    return op.kind != OpKind::Launch;
+  }
+  bool fuses(const KernelOp& op, int last_group) const {
+    return !synchronizes(op) && fuses(*op.site, last_group);
+  }
+  bool launches_async(const KernelOp& op) const {
+    return !synchronizes(op) && launches_async(*op.site);
+  }
+  /// The fusion group `op` leaves open for the next launch (0 = broken).
+  static int chain_group(const KernelOp& op) {
+    return synchronizes(op) ? 0 : op.site->fusion_group;
+  }
+  /// Multiplier on `op`'s modeled memory traffic.
+  double traffic(const KernelOp& op) const {
+    switch (op.kind) {
+      case OpKind::Launch: return launch_traffic;
+      case OpKind::ArrayReduce: return array_reduce_traffic;
+      default: return 1.0;
+    }
+  }
 };
 
 /// Resolve the lowering of `cfg` (loop model x gpu x memory mode x
@@ -167,14 +199,15 @@ struct Lowering {
 Lowering lowering(const EngineConfig& cfg);
 
 /// Borrowed views of the per-rank accounting state a scheduler drives.
-/// All pointers outlive the scheduler (they are Engine members).
+/// All pointers are non-null and outlive the scheduler (they are Engine
+/// members).
 struct SchedulerContext {
   const EngineConfig* cfg = nullptr;
   gpusim::CostModel* cost = nullptr;
   gpusim::ClockLedger* ledger = nullptr;
   gpusim::MemoryManager* mem = nullptr;
   trace::Recorder* tracer = nullptr;
-  telemetry::EngineMetrics* metrics = nullptr;
+  /// The one store of the per-kernel counts (see Engine::metrics_snapshot).
   telemetry::SiteProfiler* profiler = nullptr;
 };
 
@@ -199,11 +232,10 @@ class Scheduler {
   double replay_launch_saved() const { return replay_launch_saved_; }
 
  private:
-  void on_launch(const LaunchOp& op);
-  void on_reduce(const ReduceOp& op);
-  void on_array_reduce(const ArrayReduceOp& op);
-  void on_sync(const SyncOp& op);
-  void on_fusion_break(const FusionBreakOp& op);
+  /// The single charge point of every kernel op, launch or reduction:
+  /// launch gap and traffic under the Lowering's per-kind rule, then the
+  /// charged seconds' consumers (site profiler, trace recorder).
+  void on_kernel(const KernelOp& op);
   /// UM prefetch/advise hint: drives the page engine and charges the
   /// batched prefetch cost. Hints never break fusion chains.
   void on_mem_hint(const MemHintOp& op);
@@ -211,12 +243,6 @@ class Scheduler {
   /// Sum the logical bytes the op touches and notify the memory manager
   /// (unified-memory page migration). Returns the byte total.
   i64 touch_accesses(const AccessList& accesses, i64 cells);
-  /// The single charge point: launch gap, traffic, and the charged
-  /// seconds' consumers (site profiler, trace recorder).
-  void charge_launch_and_bytes(const KernelSite& site, i64 cells, i64 bytes,
-                               gpusim::ScaleClass scale, bool fused,
-                               bool async, double extra_traffic_factor,
-                               gpusim::TimeCategory category);
 
   SchedulerContext ctx_;
   Lowering lowering_;

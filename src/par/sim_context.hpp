@@ -10,7 +10,8 @@
 //   * an optional shared ThreadPool — when set, engines built under this
 //     context borrow it instead of owning worker threads, so N concurrent
 //     experiments multiplex one host-thread budget (the service layer's
-//     execution substrate).
+//     execution substrate). This is the one way to share a pool: neither
+//     EngineConfig nor ExperimentConfig carries a pool of its own.
 //
 // SimContext::process() is the default used when nothing is threaded
 // through: it is constructed once and immutable afterwards, so it is

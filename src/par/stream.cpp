@@ -28,20 +28,15 @@ const char* mem_hint_name(MemHint h) {
 
 OpKind op_kind(const StreamOp& op) {
   switch (op.index()) {
-    case 0: return OpKind::Launch;
-    case 1: return OpKind::Reduce;
-    case 2: return OpKind::ArrayReduce;
-    case 3: return OpKind::Sync;
-    case 5: return OpKind::MemHint;
-    default: return OpKind::FusionBreak;
+    case 0: return std::get<KernelOp>(op).kind;
+    case 1: return OpKind::Sync;
+    case 2: return OpKind::FusionBreak;
+    default: return OpKind::MemHint;
   }
 }
 
 const KernelOp* kernel_op(const StreamOp& op) {
-  if (const auto* l = std::get_if<LaunchOp>(&op)) return l;
-  if (const auto* r = std::get_if<ReduceOp>(&op)) return r;
-  if (const auto* a = std::get_if<ArrayReduceOp>(&op)) return a;
-  return nullptr;
+  return std::get_if<KernelOp>(&op);
 }
 
 const KernelSite* op_site(const StreamOp& op) {
@@ -65,16 +60,6 @@ bool same_signature(const StreamOp& a, const StreamOp& b) {
            ma->bytes == mb->bytes;
   }
   return true;
-}
-
-const char* span_name(Span s) {
-  switch (s) {
-    case Span::Full: return "full";
-    case Span::Interior: return "interior";
-    case Span::GhostLo: return "ghost_lo";
-    case Span::GhostHi: return "ghost_hi";
-  }
-  return "?";
 }
 
 std::vector<KernelSite> stream_sites() {

@@ -2,9 +2,12 @@
 // Kernel-stream intermediate representation (IR).
 //
 // Every operation the solver hands to the Engine — parallel loop launches,
-// scalar/array reductions, device syncs, fusion breaks — is reified as a
-// typed op before any time accounting happens. The ops form a stream that
-// the Scheduler (par/scheduler.hpp) consumes to drive the cost
+// scalar/array reductions, device syncs, fusion breaks, UM hints — is
+// reified as a typed op before any time accounting happens. Launches and
+// reductions are one op type, KernelOp, told apart by its OpKind: the
+// code versions differ only in how they lower each kind, and that rule
+// lives in par::Lowering. The ops form a stream that the Scheduler
+// (par/scheduler.hpp) consumes to drive the cost
 // model, and that a CapturedGraph can record for CUDA-Graph-style replay:
 // one launch overhead per *graph* instead of per *kernel*, the
 // launch-amortization technique that extends the paper's fusion/async
@@ -42,8 +45,6 @@ enum class Span : unsigned char {
   GhostLo,   ///< the low radial ghost column (logical i < 0) only
   GhostHi,   ///< the high radial ghost column (logical i >= n1) only
 };
-
-const char* span_name(Span s);
 
 /// Two declared spans may cover a common radial column.
 inline bool spans_overlap(Span a, Span b) {
@@ -93,8 +94,11 @@ enum class OpKind { Launch, Reduce, ArrayReduce, Sync, FusionBreak, MemHint };
 
 const char* op_kind_name(OpKind k);
 
-/// Payload shared by every op that corresponds to a device kernel.
+/// One device kernel: a data-parallel loop nest (Launch: for_each /
+/// for_each1), a scalar reduction (Reduce: reduce_sum / reduce_max /
+/// reduce_sum1) or an indexed accumulation (ArrayReduce: array_reduce).
 struct KernelOp {
+  OpKind kind = OpKind::Launch;      ///< Launch, Reduce or ArrayReduce
   const KernelSite* site = nullptr;  ///< stable pointer into the registry
   i64 cells = 0;                     ///< logical iteration-space size
   AccessList accesses;
@@ -105,12 +109,6 @@ struct KernelOp {
   gpusim::TimeCategory category = gpusim::TimeCategory::Compute;
 };
 
-/// A data-parallel loop nest (for_each / for_each1).
-struct LaunchOp : KernelOp {};
-/// A scalar reduction (reduce_sum / reduce_max / reduce_sum1).
-struct ReduceOp : KernelOp {};
-/// An indexed accumulation (array_reduce).
-struct ArrayReduceOp : KernelOp {};
 /// Host-side synchronization point (drains async queues, breaks fusion).
 struct SyncOp {};
 /// Non-kernel activity (MPI call, data directive) breaking fusion chains.
@@ -142,11 +140,10 @@ struct MemHintOp {
   gpusim::TimeCategory category = gpusim::TimeCategory::DataMotion;
 };
 
-using StreamOp = std::variant<LaunchOp, ReduceOp, ArrayReduceOp, SyncOp,
-                              FusionBreakOp, MemHintOp>;
+using StreamOp = std::variant<KernelOp, SyncOp, FusionBreakOp, MemHintOp>;
 
 OpKind op_kind(const StreamOp& op);
-/// Kernel payload of a launch/reduction op; nullptr for the other kinds.
+/// The kernel op, or nullptr for the other alternatives.
 const KernelOp* kernel_op(const StreamOp& op);
 /// Site of a kernel or hint op; nullptr for SyncOp / FusionBreakOp.
 const KernelSite* op_site(const StreamOp& op);

@@ -1,13 +1,17 @@
 #pragma once
-// The Engine's hot-path metric bundle: every counter the scheduler and
-// dispatcher touch per kernel, pre-resolved to registry handles at Engine
-// construction so the launch path never does a name lookup (and never
-// allocates — see the allocation-counting test in tests/test_par.cpp).
+// The Engine's hot-path metric bundle: the counters the engine touches per
+// kernel, pre-resolved to registry handles at Engine construction so the
+// launch path never does a name lookup (and never allocates — see the
+// allocation-counting test in tests/test_par.cpp).
 //
-// Colder families (mem.*, graph.*, time.*) are published into the same
-// registry at snapshot time by Engine::metrics_snapshot(); only what runs
-// per-launch lives here.
+// The per-kernel counts (engine.loops, engine.launches,
+// engine.fused_launches, engine.reduction_loops, engine.bytes_touched)
+// have one store, the site profiler's rows (telemetry/profiler.hpp).
+// bind() registers their names here only to keep their place in the
+// snapshot order; Engine::metrics_snapshot() publishes them as sums over
+// the site table, like the colder families (mem.*, graph.*, time.*).
 
+#include <initializer_list>
 #include <span>
 
 #include "telemetry/metrics.hpp"
@@ -15,11 +19,6 @@
 namespace simas::telemetry {
 
 struct EngineMetrics {
-  Counter launches;       ///< engine.launches — issued after fusion
-  Counter loops;          ///< engine.loops — logical parallel loops
-  Counter fused;          ///< engine.fused_launches
-  Counter reductions;     ///< engine.reduction_loops
-  Counter bytes_touched;  ///< engine.bytes_touched (run scale)
   Counter pool_jobs;      ///< pool.jobs — kernels dispatched to the pool
   Counter pool_inline;    ///< pool.inline_kernels — run on the caller
   Histogram kernel_cells; ///< engine.kernel_cells — iteration-space sizes
@@ -29,11 +28,10 @@ struct EngineMetrics {
   static constexpr double kCellBounds[] = {1e3, 1e4, 1e5, 1e6, 1e7};
 
   void bind(Registry& reg) {
-    launches = reg.counter("engine.launches");
-    loops = reg.counter("engine.loops");
-    fused = reg.counter("engine.fused_launches");
-    reductions = reg.counter("engine.reduction_loops");
-    bytes_touched = reg.counter("engine.bytes_touched");
+    for (const char* name :
+         {"engine.launches", "engine.loops", "engine.fused_launches",
+          "engine.reduction_loops", "engine.bytes_touched"})
+      reg.counter(name);
     pool_jobs = reg.counter("pool.jobs");
     pool_inline = reg.counter("pool.inline_kernels");
     kernel_cells =

@@ -17,9 +17,10 @@
 //     carrying its merge policy (counters sum; gauges take the configured
 //     reduction; histograms add bucket-wise).
 //
-// The registry is the store of record for the engine.* and halo.*
-// counters: readers take a snapshot or a registry handle, never a copy
-// kept elsewhere.
+// The registry is the store of record for the halo.*, pool.* and jobs.*
+// counters. The per-kernel engine.* counts are kept once, in the engine's
+// site profiler rows, and published into the registry by
+// Engine::metrics_snapshot(): read them from a snapshot.
 
 #include <iosfwd>
 #include <span>

@@ -17,12 +17,26 @@ SiteProfileSnapshot SiteProfiler::snapshot() const {
     row.kind = par::site_kind_name(e.site->kind);
     row.launches = e.launches;
     row.fused = e.fused;
+    row.reductions = e.reductions;
     row.cells = e.cells;
     row.bytes = e.bytes;
     row.seconds = e.seconds;
     snap.rows.push_back(std::move(row));
   }
   return snap;
+}
+
+SiteProfileRow SiteProfiler::totals() const {
+  SiteProfileRow sum;
+  for (const Entry& e : entries_) {
+    sum.launches += e.launches;
+    sum.fused += e.fused;
+    sum.reductions += e.reductions;
+    sum.cells += e.cells;
+    sum.bytes += e.bytes;
+    sum.seconds += e.seconds;
+  }
+  return sum;
 }
 
 double SiteProfileSnapshot::total_seconds() const {
@@ -45,45 +59,23 @@ void SiteProfileSnapshot::merge_from(const SiteProfileSnapshot& other) {
     }
     mine->launches += o.launches;
     mine->fused += o.fused;
+    mine->reductions += o.reductions;
     mine->cells += o.cells;
     mine->bytes += o.bytes;
     mine->seconds += o.seconds;
   }
 }
 
-namespace {
-
-template <class Key>
-std::vector<SiteProfileRow> top_by(const std::vector<SiteProfileRow>& rows,
-                                   std::size_t n, Key key) {
+std::vector<SiteProfileRow> SiteProfileSnapshot::top_by_seconds(
+    std::size_t n) const {
   std::vector<SiteProfileRow> sorted = rows;
   std::sort(sorted.begin(), sorted.end(),
-            [&](const SiteProfileRow& a, const SiteProfileRow& b) {
-              if (key(a) != key(b)) return key(a) > key(b);
+            [](const SiteProfileRow& a, const SiteProfileRow& b) {
+              if (a.seconds != b.seconds) return a.seconds > b.seconds;
               return a.name < b.name;
             });
   if (sorted.size() > n) sorted.resize(n);
   return sorted;
-}
-
-}  // namespace
-
-std::vector<SiteProfileRow> SiteProfileSnapshot::top_by_seconds(
-    std::size_t n) const {
-  return top_by(rows, n, [](const SiteProfileRow& r) { return r.seconds; });
-}
-
-std::vector<SiteProfileRow> SiteProfileSnapshot::top_by_launches(
-    std::size_t n) const {
-  return top_by(rows, n, [](const SiteProfileRow& r) {
-    return static_cast<double>(r.launches + r.fused);
-  });
-}
-
-std::vector<SiteProfileRow> SiteProfileSnapshot::top_by_bytes(
-    std::size_t n) const {
-  return top_by(rows, n,
-                [](const SiteProfileRow& r) { return static_cast<double>(r.bytes); });
 }
 
 void SiteProfileSnapshot::print(std::ostream& os, std::size_t top_n) const {

@@ -4,13 +4,16 @@
 // methodology ("which kernels dominate, per code version") as a queryable
 // artifact instead of an eyeballed timeline.
 //
-// The Scheduler feeds every charged kernel op into SiteProfiler::record;
-// the hot path is a single indexed accumulate into a vector keyed by the
-// KernelSite's registry id (the vector grows only when a new site first
-// appears, so the steady-state launch path stays allocation-free). Reports
-// are taken as SiteProfileSnapshot: mergeable across ranks, sortable by
-// modeled seconds / launches / bytes, printable as a table and exportable
-// as BENCH_profile.json.
+// The Scheduler feeds every charged kernel op into SiteProfiler::record
+// at its single charge point; the hot path is a single indexed accumulate
+// into a vector keyed by the KernelSite's registry id (the vector grows
+// only when a new site first appears, so the steady-state launch path
+// stays allocation-free). The rows are the only store of the per-kernel
+// counts: Engine::metrics_snapshot() publishes engine.loops / launches /
+// fused_launches / reduction_loops / bytes_touched as sums over them
+// (SiteProfiler::totals). Reports are taken as SiteProfileSnapshot:
+// mergeable across ranks, sortable by modeled seconds, printable as a
+// table and exportable as BENCH_profile.json.
 
 #include <iosfwd>
 #include <string>
@@ -26,6 +29,7 @@ struct SiteProfileRow {
   std::string kind;
   i64 launches = 0;   ///< launches issued for this site (fused ones excluded)
   i64 fused = 0;      ///< loops merged into a preceding launch
+  i64 reductions = 0; ///< scalar and array reductions (counted in launches)
   i64 cells = 0;      ///< logical iteration-space cells executed
   i64 bytes = 0;      ///< logical bytes touched (run scale)
   double seconds = 0.0;  ///< modeled seconds charged (launch + traffic)
@@ -39,8 +43,6 @@ struct SiteProfileSnapshot {
   void merge_from(const SiteProfileSnapshot& other);
   /// Rows sorted by modeled seconds, descending (ties by name).
   std::vector<SiteProfileRow> top_by_seconds(std::size_t n) const;
-  std::vector<SiteProfileRow> top_by_launches(std::size_t n) const;
-  std::vector<SiteProfileRow> top_by_bytes(std::size_t n) const;
 
   /// Human-readable top-N table ("hot spots by modeled time").
   void print(std::ostream& os, std::size_t top_n = 10) const;
@@ -51,9 +53,10 @@ struct SiteProfileSnapshot {
 class SiteProfiler {
  public:
   /// Account one charged kernel op. `fused` marks a loop merged into the
-  /// previous launch (no launch of its own). Hot path: O(1) indexed adds.
+  /// previous launch (no launch of its own), `reduction` a scalar or array
+  /// reduction. Hot path: O(1) indexed adds.
   void record(const par::KernelSite& site, double seconds, i64 cells,
-              i64 bytes, bool fused) {
+              i64 bytes, bool fused, bool reduction) {
     const std::size_t id = static_cast<std::size_t>(site.id);
     if (id >= entries_.size()) entries_.resize(id + 1);
     Entry& e = entries_[id];
@@ -62,18 +65,20 @@ class SiteProfiler {
       e.fused++;
     else
       e.launches++;
+    if (reduction) e.reductions++;
     e.cells += cells;
     e.bytes += bytes;
     e.seconds += seconds;
   }
 
   SiteProfileSnapshot snapshot() const;
-  void reset() { entries_.clear(); }
+  /// Every count summed over all sites (name and kind left empty).
+  SiteProfileRow totals() const;
 
  private:
   struct Entry {
     const par::KernelSite* site = nullptr;  ///< null = id never seen
-    i64 launches = 0, fused = 0, cells = 0, bytes = 0;
+    i64 launches = 0, fused = 0, reductions = 0, cells = 0, bytes = 0;
     double seconds = 0.0;
   };
   std::vector<Entry> entries_;  ///< indexed by KernelSite::id

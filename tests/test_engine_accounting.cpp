@@ -14,9 +14,9 @@
 namespace simas::par {
 namespace {
 
-/// One engine.* counter, read from the engine's metrics registry.
+/// One engine.* counter, read from the engine's metrics snapshot.
 i64 engine_counter(Engine& eng, const char* name) {
-  return eng.metrics_registry().counter(name).value();
+  return eng.metrics_snapshot().counter(name);
 }
 
 EngineConfig base_config() {

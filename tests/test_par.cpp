@@ -144,9 +144,9 @@ TEST(SiteTable, ReferencesStableAcrossGrowth) {
   EXPECT_EQ(first.name, name_before);  // chunked storage: no invalidation
 }
 
-/// One engine.* counter, read from the engine's metrics registry.
+/// One engine.* counter, read from the engine's metrics snapshot.
 i64 engine_counter(Engine& eng, const char* name) {
-  return eng.metrics_registry().counter(name).value();
+  return eng.metrics_snapshot().counter(name);
 }
 
 EngineConfig gpu_config(LoopModel loops, gpusim::MemoryMode mem) {

@@ -232,22 +232,28 @@ TEST(FieldCache, EvictsLeastRecentlyUsedPastCapacity) {
 
 TEST(GraphCache, PublishFindAndFirstWins) {
   par::GraphCache cache;
-  EXPECT_EQ(cache.find("scope", "pcg"), nullptr);
+  par::CapturedGraph found("pcg");
+  EXPECT_FALSE(cache.find("scope", "pcg", &found));
+  EXPECT_EQ(found.size(), 0u);  // a miss leaves the out-parameter alone
   par::CapturedGraph g("pcg");
   g.begin_capture();
   g.append(par::StreamOp{par::SyncOp{}});
   g.finalize();
   EXPECT_TRUE(cache.publish("scope", g));
   EXPECT_FALSE(cache.publish("scope", g));  // duplicate dropped
-  const par::CapturedGraph* found = cache.find("scope", "pcg");
-  ASSERT_NE(found, nullptr);
-  EXPECT_TRUE(found->captured());
-  EXPECT_EQ(found->size(), 1u);
-  EXPECT_EQ(cache.find("other_scope", "pcg"), nullptr);
+  ASSERT_TRUE(cache.find("scope", "pcg", &found));
+  EXPECT_TRUE(found.captured());
+  EXPECT_EQ(found.size(), 1u);
+  // The lookup is a copy: invalidating it leaves the cached entry intact.
+  found.invalidate();
+  par::CapturedGraph again("pcg");
+  ASSERT_TRUE(cache.find("scope", "pcg", &again));
+  EXPECT_TRUE(again.captured());
+  EXPECT_FALSE(cache.find("other_scope", "pcg", &found));
   const auto s = cache.stats();
   EXPECT_EQ(s.publishes, 1);
   EXPECT_EQ(s.duplicates, 1);
-  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(s.hits, 2);
   EXPECT_EQ(s.misses, 2);
 }
 

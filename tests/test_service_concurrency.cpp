@@ -177,10 +177,13 @@ TEST(SharedPool, AlternatingLaunchesMatchOwnedPoolResults) {
     field::Field f(eng, "svc_pool_ref", kN, kN, kN);
     ref = checkerboard_sum(eng, f, "ref", kN);
   }
-  // Two engines alternating launches over one borrowed pool.
+  // Two engines alternating launches over one pool borrowed through
+  // their context.
   par::ThreadPool pool(3);
+  par::SimContext ctx;
+  ctx.set_shared_pool(&pool);
   par::EngineConfig cfg;
-  cfg.shared_pool = &pool;
+  cfg.ctx = &ctx;
   par::Engine ea(cfg), eb(cfg);
   field::Field fa(ea, "svc_pool_a", kN, kN, kN);
   field::Field fb(eb, "svc_pool_b", kN, kN, kN);
@@ -202,13 +205,15 @@ TEST(SharedPool, ConcurrentEnginesOnOnePoolStayDeterministic) {
     ref = checkerboard_sum(eng, f, "ref", kN);
   }
   par::ThreadPool pool(4);
+  par::SimContext ctx;
+  ctx.set_shared_pool(&pool);
   std::vector<std::vector<real>> sums(kEngines);
   std::vector<std::thread> threads;
   threads.reserve(kEngines);
   for (int e = 0; e < kEngines; ++e) {
     threads.emplace_back([&, e] {
       par::EngineConfig cfg;
-      cfg.shared_pool = &pool;
+      cfg.ctx = &ctx;
       par::Engine eng(cfg);
       field::Field f(eng, "svc_conc_" + std::to_string(e), kN, kN, kN);
       for (int r = 0; r < kRounds; ++r)

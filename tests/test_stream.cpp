@@ -15,9 +15,9 @@
 namespace simas::par {
 namespace {
 
-/// One engine.* counter, read from the engine's metrics registry.
+/// One engine.* counter, read from the engine's metrics snapshot.
 i64 engine_counter(Engine& eng, const char* name) {
-  return eng.metrics_registry().counter(name).value();
+  return eng.metrics_snapshot().counter(name);
 }
 
 EngineConfig graph_config(LoopModel loops = LoopModel::Dc2018,
@@ -36,18 +36,22 @@ const KernelSite& stream_site(const char* name,
   return SiteTable::process().intern(make_site(name, kind));
 }
 
+KernelOp kernel(OpKind kind, const KernelSite* site, i64 cells) {
+  KernelOp op;
+  op.kind = kind;
+  op.site = site;
+  op.cells = cells;
+  return op;
+}
+
 TEST(StreamIr, OpKindHelpers) {
   const KernelSite& site = stream_site("stream_helpers");
-  LaunchOp launch;
-  launch.site = &site;
-  launch.cells = 64;
-  ReduceOp red;
-  red.site = &site;
-  red.cells = 8;
+  const KernelOp launch = kernel(OpKind::Launch, &site, 64);
+  const KernelOp red = kernel(OpKind::Reduce, &site, 8);
 
   const StreamOp ops[] = {StreamOp{launch}, StreamOp{red},
-                          StreamOp{ArrayReduceOp{}}, StreamOp{SyncOp{}},
-                          StreamOp{FusionBreakOp{}}};
+                          StreamOp{kernel(OpKind::ArrayReduce, nullptr, 0)},
+                          StreamOp{SyncOp{}}, StreamOp{FusionBreakOp{}}};
   EXPECT_EQ(op_kind(ops[0]), OpKind::Launch);
   EXPECT_EQ(op_kind(ops[1]), OpKind::Reduce);
   EXPECT_EQ(op_kind(ops[2]), OpKind::ArrayReduce);
@@ -67,23 +71,20 @@ TEST(StreamIr, OpKindHelpers) {
 TEST(StreamIr, SameSignatureChecksKindSiteAndCells) {
   const KernelSite& a = stream_site("stream_sig_a");
   const KernelSite& b = stream_site("stream_sig_b");
-  LaunchOp la;
-  la.site = &a;
-  la.cells = 100;
-  LaunchOp la2 = la;
+  const KernelOp la = kernel(OpKind::Launch, &a, 100);
+  KernelOp la2 = la;
   EXPECT_TRUE(same_signature(StreamOp{la}, StreamOp{la2}));
 
-  LaunchOp other_site = la;
+  KernelOp other_site = la;
   other_site.site = &b;
   EXPECT_FALSE(same_signature(StreamOp{la}, StreamOp{other_site}));
 
-  LaunchOp other_cells = la;
+  KernelOp other_cells = la;
   other_cells.cells = 101;
   EXPECT_FALSE(same_signature(StreamOp{la}, StreamOp{other_cells}));
 
-  ReduceOp red;
-  red.site = &a;
-  red.cells = 100;
+  // A launch and a reduction at the same site and cells are different ops.
+  const KernelOp red = kernel(OpKind::Reduce, &a, 100);
   EXPECT_FALSE(same_signature(StreamOp{la}, StreamOp{red}));
 
   EXPECT_TRUE(same_signature(StreamOp{SyncOp{}}, StreamOp{SyncOp{}}));

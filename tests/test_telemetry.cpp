@@ -364,9 +364,9 @@ TEST(Profiler, AggregatesPerSiteAndRanks) {
   const par::KernelSite& sb =
       SIMAS_SITE("test_prof_b", par::SiteKind::ScalarReduction, 0);
   telemetry::SiteProfiler prof;
-  prof.record(sa, 0.5, 100, 800, /*fused=*/false);
-  prof.record(sa, 0.25, 100, 800, /*fused=*/true);
-  prof.record(sb, 2.0, 50, 400, /*fused=*/false);
+  prof.record(sa, 0.5, 100, 800, /*fused=*/false, /*reduction=*/false);
+  prof.record(sa, 0.25, 100, 800, /*fused=*/true, /*reduction=*/false);
+  prof.record(sb, 2.0, 50, 400, /*fused=*/false, /*reduction=*/true);
 
   telemetry::SiteProfileSnapshot snap = prof.snapshot();
   ASSERT_EQ(snap.rows.size(), 2u);
@@ -377,15 +377,28 @@ TEST(Profiler, AggregatesPerSiteAndRanks) {
   EXPECT_EQ(top[0].name, "test_prof_b");
   EXPECT_EQ(top[0].kind, "scalar_reduction");
 
-  // Merging another rank's identical profile doubles every column.
+  // Merging another rank's identical profile doubles every column of
+  // the matched row.
   telemetry::SiteProfileSnapshot other = prof.snapshot();
   snap.merge_from(other);
   EXPECT_DOUBLE_EQ(snap.total_seconds(), 5.5);
-  const auto by_launches = snap.top_by_launches(2);
-  ASSERT_EQ(by_launches.size(), 2u);
-  EXPECT_EQ(by_launches[0].name, "test_prof_a");  // 2 launches + 2 fused
-  EXPECT_EQ(by_launches[0].launches, 2);
-  EXPECT_EQ(by_launches[0].fused, 2);
+  ASSERT_EQ(snap.rows.size(), 2u);
+  const telemetry::SiteProfileRow* merged_a = nullptr;
+  for (const telemetry::SiteProfileRow& r : snap.rows)
+    if (r.name == "test_prof_a") merged_a = &r;
+  ASSERT_NE(merged_a, nullptr);
+  EXPECT_EQ(merged_a->launches, 2);
+  EXPECT_EQ(merged_a->fused, 2);
+  EXPECT_EQ(merged_a->reductions, 0);
+  EXPECT_EQ(merged_a->cells, 400);
+  EXPECT_EQ(merged_a->bytes, 3200);
+  EXPECT_DOUBLE_EQ(merged_a->seconds, 1.5);
+
+  const telemetry::SiteProfileRow sum = prof.totals();
+  EXPECT_EQ(sum.launches, 2);
+  EXPECT_EQ(sum.fused, 1);
+  EXPECT_EQ(sum.reductions, 1);
+  EXPECT_EQ(sum.bytes, 2000);
 
   std::ostringstream os;
   snap.write_json(os);
@@ -400,36 +413,75 @@ TEST(Engine, RegistryCountersAndProfilerSeeLaunches) {
   par::EngineConfig cfg;
   cfg.gpu = true;
   cfg.host_threads = 1;
+  cfg.loops = par::LoopModel::Acc;
   par::Engine eng(cfg);
   const auto id = eng.memory().register_array("a", 1 << 20);
+  const auto id2 = eng.memory().register_array("b", 1 << 20);
   static const par::KernelSite& site =
       SIMAS_SITE("test_metrics_kernel", par::SiteKind::ParallelLoop, 0);
+  static const par::KernelSite& pair_a =
+      SIMAS_SITE("test_metrics_pair_a", par::SiteKind::ParallelLoop, 91);
+  static const par::KernelSite& pair_b =
+      SIMAS_SITE("test_metrics_pair_b", par::SiteKind::ParallelLoop, 91);
+  static const par::KernelSite& dot =
+      SIMAS_SITE("test_metrics_dot", par::SiteKind::ScalarReduction, 0,
+                 false, false, false);
+  static const par::KernelSite& hist_site =
+      SIMAS_SITE("test_metrics_hist", par::SiteKind::ArrayReduction, 0,
+                 false, false, false);
+  const par::Range3 r{0, 8, 0, 8, 0, 8};
   for (int i = 0; i < 3; ++i)
-    eng.for_each(site, par::Range3{0, 8, 0, 8, 0, 8}, {par::out(id)},
-                 [](idx, idx, idx) {});
+    eng.for_each(site, r, {par::out(id)}, [](idx, idx, idx) {});
+  // An ACC fused pair: the second launch merges into the first.
+  eng.for_each(pair_a, r, {par::out(id)}, [](idx, idx, idx) {});
+  eng.for_each(pair_b, r, {par::out(id2)}, [](idx, idx, idx) {});
+  eng.reduce_sum(dot, r, {par::in(id)}, [](idx, idx, idx) { return 1.0; });
+  std::vector<real> out(8, 0.0);
+  eng.array_reduce(hist_site, r, {par::in(id)}, out,
+                   [](idx, idx, idx) { return 1.0; });
 
   const telemetry::MetricsSnapshot snap = eng.metrics_snapshot();
-  EXPECT_EQ(snap.counter("engine.loops"), 3);
-  EXPECT_EQ(snap.counter("engine.launches"), 3);
-  EXPECT_EQ(snap.counter("engine.fused_launches"), 0);
+  EXPECT_EQ(snap.counter("engine.loops"), 7);
+  EXPECT_EQ(snap.counter("engine.launches"), 6);
+  EXPECT_EQ(snap.counter("engine.fused_launches"), 1);
+  EXPECT_EQ(snap.counter("engine.reduction_loops"), 2);
   EXPECT_EQ(snap.counter("engine.bytes_touched"),
-            3 * 8 * 8 * 8 * static_cast<i64>(sizeof(real)));
+            7 * 8 * 8 * 8 * static_cast<i64>(sizeof(real)));
   EXPECT_GT(snap.counter("pool.inline_kernels") + snap.counter("pool.jobs"),
             0);
   EXPECT_DOUBLE_EQ(snap.gauge("time.modeled_seconds"), eng.ledger().now());
   const telemetry::MetricSample* hist = snap.find("engine.kernel_cells");
   ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->count, 3);
+  EXPECT_EQ(hist->count, 7);
 
+  // The engine.* counts are sums over the site rows.
   const telemetry::SiteProfileSnapshot prof = eng.site_profiler().snapshot();
+  i64 launches = 0, fused = 0, reductions = 0, bytes = 0;
   double site_seconds = 0.0;
-  for (const auto& row : prof.rows)
+  for (const auto& row : prof.rows) {
+    launches += row.launches;
+    fused += row.fused;
+    reductions += row.reductions;
+    bytes += row.bytes;
     if (row.name == "test_metrics_kernel") {
       EXPECT_EQ(row.launches, 3);
       EXPECT_EQ(row.cells, 3 * 8 * 8 * 8);
       site_seconds = row.seconds;
+    } else if (row.name == "test_metrics_pair_b") {
+      EXPECT_EQ(row.launches, 0);
+      EXPECT_EQ(row.fused, 1);
+    } else if (row.name == "test_metrics_dot" ||
+               row.name == "test_metrics_hist") {
+      EXPECT_EQ(row.launches, 1);
+      EXPECT_EQ(row.reductions, 1);
     }
+  }
   EXPECT_GT(site_seconds, 0.0);
+  EXPECT_EQ(snap.counter("engine.launches"), launches);
+  EXPECT_EQ(snap.counter("engine.loops"), launches + fused);
+  EXPECT_EQ(snap.counter("engine.fused_launches"), fused);
+  EXPECT_EQ(snap.counter("engine.reduction_loops"), reductions);
+  EXPECT_EQ(snap.counter("engine.bytes_touched"), bytes);
 }
 
 // ----------------------------------------------------------- perf compare
