@@ -2,8 +2,14 @@
 // Debug shadow instrumentation for the access-list verifier and the
 // DC-legality / race checker (analysis/validator.hpp).
 //
-// When EngineConfig::validate is on, every Field attaches a ShadowSlot to
-// its Array3; Array3::operator() then reports each element access here.
+// Element shadowing is a compile-time flavour: only builds with the
+// SIMAS_SHADOW definition (the simas_shadow library target, or a tree
+// configured with -DCMAKE_CXX_FLAGS=-DSIMAS_SHADOW) give Array3 a slot
+// pointer and the per-access branch. In them, when EngineConfig::validate
+// is on, every Field attaches a ShadowSlot to its Array3, and
+// Array3::operator() reports each element access here. Plain builds have
+// neither, so every cell loop vectorizes; validation there keeps only the
+// op-level StreamChecker and says so once per process on stderr.
 // Between Validator::body_begin()/body_end() the slot is armed with a mode
 // derived from the op's declared Access list:
 //
@@ -15,9 +21,8 @@
 //   ReadCheck  — compare element tags against writes recorded earlier in
 //                the same fusion chain (read-after-write across fusion).
 //
-// Outside a kernel body the mode is Idle and note() is a single branch,
-// so host-side access (tests, I/O) costs one predictable-untaken branch.
-// With validation off no slot is attached at all.
+// Outside a kernel body the mode is Idle and note() returns after one
+// load. With validation off no slot is attached at all.
 //
 // Iteration tags are *scoped to the arming validator*: engines may share
 // one ThreadPool, so a pool thread can run bodies of several engines in

@@ -3,8 +3,9 @@
 // ("simas-lint"), run alongside a live StreamChecker.
 //
 // The Engine owns one Validator when EngineConfig::validate is on (or the
-// SIMAS_VALIDATE environment variable is set). It sits on the engine's
-// observer list after the StreamChecker and is fed:
+// SIMAS_VALIDATE environment variable is set) in the SIMAS_SHADOW build
+// flavour; plain builds have no element shadow and run no Validator. It
+// sits on the engine's observer list after the StreamChecker and is fed:
 //   * every kernel op (the op whose body executes next) and every halo
 //     begin/end, via on_event();
 //   * the execution window of each kernel body, via body_begin()/body_end();

@@ -30,19 +30,23 @@ class Array3 {
   /// in-flight ghost tracking.
   std::size_t radial_stride() const { return s2_; }
 
-  // Hot path: one strided offset plus a predictable not-taken branch.
-  // shadow_ is non-null only under SIMAS_VALIDATE (element tagging), so
-  // production runs pay a single compare-and-skip per access; validated
-  // runs take the unlikely branch but stay byte-identical in modeled time
-  // (the shadow never feeds the cost model).
+  // Hot path: one strided offset, nothing else, so cell loops vectorize.
+  // Only the shadow flavour (SIMAS_SHADOW, the simas_shadow target) adds
+  // the branch that reports each access to the validator's slot; it is
+  // non-null only when validation is on, and it never feeds the cost
+  // model, so modeled time is identical in both flavours.
   real& operator()(idx i, idx j, idx k) {
     const std::size_t off = offset(i, j, k);
+#ifdef SIMAS_SHADOW
     if (shadow_ != nullptr) [[unlikely]] shadow_->note(off);
+#endif
     return data_[off];
   }
   real operator()(idx i, idx j, idx k) const {
     const std::size_t off = offset(i, j, k);
+#ifdef SIMAS_SHADOW
     if (shadow_ != nullptr) [[unlikely]] shadow_->note(off);
+#endif
     return data_[off];
   }
 
@@ -51,10 +55,12 @@ class Array3 {
 
   void fill(real v);
 
+#ifdef SIMAS_SHADOW
   /// Attach the validator's shadow slot (nullptr detaches). Accesses via
   /// data() bypass the shadow by design: raw-pointer I/O paths report
   /// through the MemoryManager access notes instead.
   void set_shadow(analysis::ShadowSlot* slot) { shadow_ = slot; }
+#endif
 
   /// Interior-only L2 norm and max-abs (serial; used by tests/diagnostics).
   real norm2_interior() const;
@@ -70,7 +76,9 @@ class Array3 {
   idx n1_ = 0, n2_ = 0, n3_ = 0, g_ = 0;
   std::size_t s2_ = 0, s3_ = 0;
   std::vector<real> data_;
+#ifdef SIMAS_SHADOW
   analysis::ShadowSlot* shadow_ = nullptr;
+#endif
 };
 
 }  // namespace simas::field

@@ -36,6 +36,9 @@ LocalGrid::LocalGrid(const SphericalGrid& g, const mpisim::Slab& slab)
   alin_.resize(static_cast<std::size_t>(nloc_ + 1));
   for (idx i = 0; i <= nloc_; ++i)
     alin_[static_cast<std::size_t>(i)] = (sq(rf(i + 1)) - sq(rf(i))) / 2.0;
+  cot_.resize(static_cast<std::size_t>(nt));
+  for (idx j = 0; j < nt; ++j)
+    cot_[static_cast<std::size_t>(j)] = std::cos(tc(j)) / stc(j);
   const std::size_t n = static_cast<std::size_t>((nloc_ + 1) * (nt + 1));
   vol_.resize(n);
   area_r_.resize(n);

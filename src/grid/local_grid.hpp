@@ -49,6 +49,8 @@ class LocalGrid {
   real stc(idx j) const { return g_.sin_th(clamp_t(j)); }
   real stf(idx j) const { return g_.sin_th_face(clamp_tf(j)); }
   real dph() const { return g_.dph(); }
+  /// Cell-center cotangent cos(tc) / stc, tabulated per θ-cell.
+  real cot(idx j) const { return cot_[static_cast<std::size_t>(clamp_t(j))]; }
 
   /// ∫ r dr over cell i, i in [0, nloc].
   real alin(idx i) const { return alin_[static_cast<std::size_t>(i)]; }
@@ -83,7 +85,7 @@ class LocalGrid {
   const SphericalGrid& g_;
   mpisim::Slab slab_;
   idx nloc_;
-  std::vector<real> rc_, drc_, rf_, drf_, alin_;
+  std::vector<real> rc_, drc_, rf_, drf_, alin_, cot_;
   std::vector<real> vol_, area_r_, area_t_, flux_p_;
 };
 

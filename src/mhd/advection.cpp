@@ -121,7 +121,7 @@ void advect_and_forces(MhdContext& c, real dt, int pending_center) {
 
   auto vt_body = [&, dt](idx i, idx j, idx k) {
         const real r = lg.rc(i);
-        const real cot = std::cos(lg.tc(j)) / lg.stc(j);
+        const real cot = lg.cot(j);
         const real rho = std::max<real>(st.rho(i, j, k), 1.0e-12);
         const real vr0 = st.vr(i, j, k);
         const real vt0 = st.vt(i, j, k);
@@ -144,7 +144,7 @@ void advect_and_forces(MhdContext& c, real dt, int pending_center) {
 
   auto vp_body = [&, dt](idx i, idx j, idx k) {
         const real r = lg.rc(i);
-        const real cot = std::cos(lg.tc(j)) / lg.stc(j);
+        const real cot = lg.cot(j);
         const real rho = std::max<real>(st.rho(i, j, k), 1.0e-12);
         const real vr0 = st.vr(i, j, k);
         const real vt0 = st.vt(i, j, k);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <mutex>
 #include <utility>
 
 #include "analysis/static_verifier.hpp"
@@ -59,12 +60,22 @@ Engine::Engine(EngineConfig cfg)
     observers_.push_back(checker_.get());
   }
   if (cfg_.validate) {
+#ifdef SIMAS_SHADOW
     validator_ = std::make_unique<analysis::Validator>(*checker_, mem_);
     observers_.push_back(validator_.get());
-    shadow_exec_ = true;
     shadow_ctx_.owner = validator_.get();
+#else
+    note_element_checks_missing();
+#endif
   }
   mem_.set_observer(this);
+}
+
+void Engine::note_element_checks_missing() {
+  static std::once_flag once;
+  std::call_once(once, [] {
+    std::fprintf(stderr, "%s\n", kElementChecksMissing);
+  });
 }
 
 void Engine::FlightLog::on_event(const OpEvent& ev) {
@@ -120,7 +131,7 @@ void Engine::on_data_event(gpusim::DataEvent data, gpusim::ArrayId id) {
 
 Engine::~Engine() {
   mem_.set_observer(nullptr);
-  if (validator_ == nullptr) return;
+  if (!cfg_.validate) return;
   const analysis::ValidationReport report = take_validation_report();
   if (!report.diagnostics.empty()) {
     for (const analysis::Diagnostic& d : report.diagnostics) {
@@ -143,8 +154,9 @@ Engine::~Engine() {
 }
 
 analysis::ValidationReport Engine::take_validation_report() {
-  if (validator_ == nullptr) return {};
-  analysis::ValidationReport shadow = validator_->take();
+  if (!cfg_.validate) return {};
+  analysis::ValidationReport shadow;
+  if (validator_ != nullptr) shadow = validator_->take();
   // The checker's declaration-derived findings are static_verify's; their
   // element-exact counterparts come from the shadow validator. Each
   // op-level finding is handed out once, by the first drain that sees it.
@@ -197,12 +209,14 @@ void Engine::note_halo_end(gpusim::ArrayId id) {
 }
 
 void Engine::body_begin() {
+#ifdef SIMAS_SHADOW
   if (validator_ != nullptr) {
     validator_->body_begin();
     // Execute loops stamp this (owner, window) pair into the thread-local
     // iteration tag; slots armed by other validators reject it.
     shadow_ctx_.window = validator_->current_window();
   }
+#endif
 }
 
 void Engine::body_end() {

@@ -34,9 +34,9 @@
 // begin/end windows — reaches its observers as one ordered stream of
 // par::OpEvents through a single list: the flight recorder (always), the
 // StreamChecker (built from the same Lowering as the scheduler; under
-// cfg.check_stream or validation) and, under validation, the shadow
-// Validator. The stream is checked at most once, live. See DESIGN.md
-// §9–§10 and §15.
+// cfg.check_stream or validation) and, under validation in the
+// SIMAS_SHADOW flavour, the shadow Validator. The stream is checked at
+// most once, live. See DESIGN.md §9–§10 and §15.
 
 #include <algorithm>
 #include <initializer_list>
@@ -99,14 +99,24 @@ class Engine : private gpusim::MemoryObserver {
   /// registry handles do not see the engine.* counts; read them here.
   telemetry::MetricsSnapshot metrics_snapshot();
 
-  /// Live shadow validator; nullptr when validation is off.
+  /// Live shadow validator; nullptr when validation is off and always in
+  /// plain builds (only the SIMAS_SHADOW flavour has element shadows).
   analysis::Validator* validator() { return validator_.get(); }
   /// Drain the validation findings (empty report when validation is off):
   /// the live StreamChecker's op-level findings (analysis::op_level) not
-  /// handed out by an earlier drain, plus the shadow validator's element
-  /// findings. Draining before teardown also disarms the validate_fatal
-  /// abort.
+  /// handed out by an earlier drain, plus, in the shadow flavour, the
+  /// shadow validator's element findings. Draining before teardown also
+  /// disarms the validate_fatal abort.
   analysis::ValidationReport take_validation_report();
+
+  /// What a plain build prints, once per process, when validation is on:
+  /// the element checks need the SIMAS_SHADOW flavour.
+  static constexpr const char* kElementChecksMissing =
+      "simas: validation is on, but this build has no element shadow: "
+      "UndeclaredAccess, DeclaredWriteNotTouched and the element-tag forms "
+      "of DuplicateWrite, FusedConflict and InflightGhostRead are not "
+      "checked (op-level stream checks still run); link simas_shadow or "
+      "build with -DSIMAS_SHADOW to run them";
 
   /// Every finding of the live StreamChecker so far, declaration-derived
   /// ones included (empty report when neither cfg.check_stream nor
@@ -285,6 +295,9 @@ class Engine : private gpusim::MemoryObserver {
   /// Dump the process flight recorder when a drained validation report
   /// carries errors and the context's SIMAS_FLIGHT_DUMP path is set.
   void maybe_flight_dump(const analysis::ValidationReport& report);
+  /// Plain builds under validation: print kElementChecksMissing to stderr,
+  /// once per process.
+  static void note_element_checks_missing();
   // Validator body brackets (no-ops when validation is off); defined in
   // engine.cpp so this header needs only the forward declaration.
   void body_begin();
@@ -354,21 +367,18 @@ class Engine : private gpusim::MemoryObserver {
     }
   }
 
-  template <class F>
-  void execute3(Range3 r, F&& body) {
-    // The shadow/iteration-tagging path is selected once per launch (a
-    // separate template instantiation), not per element: plain runs
-    // carry zero per-iteration validation cost. Validated runs stay
-    // byte-identical in modeled time — the validator observes the op
-    // stream and element accesses but never touches the clock ledger.
-    if (shadow_exec_)
-      execute3_impl<true>(r, body);
-    else
-      execute3_impl<false>(r, body);
+  /// Publish the flat iteration id to this engine's shadow slots. Only
+  /// the shadow flavour with a live validator does anything; in plain
+  /// builds the call compiles away and the cell loops stay branch-free.
+  void note_iteration([[maybe_unused]] i64 flat) const {
+#ifdef SIMAS_SHADOW
+    if (shadow_ctx_.owner != nullptr)
+      analysis::set_current_iteration(shadow_ctx_, flat);
+#endif
   }
 
-  template <bool kShadow, class F>
-  void execute3_impl(Range3 r, F& body) {
+  template <class F>
+  void execute3(Range3 r, F&& body) {
     const idx nj = r.nj();
     const i64 ni = r.ni();
     const i64 planes = static_cast<i64>(nj) * r.nk();
@@ -383,9 +393,7 @@ class Engine : private gpusim::MemoryObserver {
       idx k = r.k0 + static_cast<idx>(p0 / nj);
       for (i64 p = p0; p < p1; ++p) {
         for (idx i = r.i0; i < r.i1; ++i) {
-          if constexpr (kShadow)
-            analysis::set_current_iteration(shadow_ctx_,
-                                            p * ni + (i - r.i0));
+          note_iteration(p * ni + (i - r.i0));
           body(i, j, k);
         }
         if (++j == r.j1) {
@@ -398,14 +406,6 @@ class Engine : private gpusim::MemoryObserver {
 
   template <class F>
   void execute1(Range1 r, F&& body) {
-    if (shadow_exec_)
-      execute1_impl<true>(r, body);
-    else
-      execute1_impl<false>(r, body);
-  }
-
-  template <bool kShadow, class F>
-  void execute1_impl(Range1 r, F& body) {
     const i64 n = r.count();
     if (n <= 0) return;
     const i64 chunk = chunk_grain(n);
@@ -414,8 +414,7 @@ class Engine : private gpusim::MemoryObserver {
       const idx lo = r.begin + static_cast<idx>(b * chunk);
       const idx hi = std::min<idx>(r.end, lo + static_cast<idx>(chunk));
       for (idx i = lo; i < hi; ++i) {
-        if constexpr (kShadow)
-          analysis::set_current_iteration(shadow_ctx_, i - r.begin);
+        note_iteration(i - r.begin);
         body(i);
       }
     });
@@ -502,22 +501,13 @@ class Engine : private gpusim::MemoryObserver {
 
   template <class F>
   void execute_array_reduce(Range3 r, std::span<real> out, F&& term) {
-    if (shadow_exec_)
-      execute_array_reduce_impl<true>(r, out, term);
-    else
-      execute_array_reduce_impl<false>(r, out, term);
-  }
-
-  template <bool kShadow, class F>
-  void execute_array_reduce_impl(Range3 r, std::span<real> out, F& term) {
     const idx ni = r.ni();
     if (ni <= 0) return;
     // One block per output element: pinned (inner accumulation order is
     // part of the results), like the scalar reductions.
     const i64 nblocks = ni;
     dispatch_blocks(nblocks, static_cast<i64>(r.count()), [&](i64 b) {
-      if constexpr (kShadow)
-        analysis::set_current_iteration(shadow_ctx_, b);
+      note_iteration(b);
       const idx i = r.i0 + static_cast<idx>(b);
       real acc = 0.0;
       for (idx k = r.k0; k < r.k1; ++k)
@@ -563,16 +553,15 @@ class Engine : private gpusim::MemoryObserver {
   /// Every observer of the event stream, in notification order: flight_,
   /// then checker_, validator_ when present.
   std::vector<OpObserver*> observers_;
-  /// Validation on: the execute loops publish per-iteration ids so shadow
-  /// slots can tag touched elements.
-  bool shadow_exec_ = false;
+#ifdef SIMAS_SHADOW
   /// Identity the execute loops publish with each iteration id: this
-  /// engine's validator and its current armed window. Slots owned by
-  /// other engines (shared ThreadPool) ignore ids carrying a different
-  /// owner/window, so interleaved engines cannot cross-pollute element
-  /// tags. Updated by body_begin on the rank thread; pool workers read it
-  /// after the job publication fence.
+  /// engine's validator (null when validation is off) and its current
+  /// armed window. Slots owned by other engines (shared ThreadPool)
+  /// ignore ids carrying a different owner/window, so interleaved engines
+  /// cannot cross-pollute element tags. Updated by body_begin on the rank
+  /// thread; pool workers read it after the job publication fence.
   analysis::ShadowExecContext shadow_ctx_;
+#endif
   /// Reused per-block partials scratch for reduce3/reduce1 (sized to the
   /// largest reduction seen; steady-state reductions never allocate).
   std::vector<real> partials_;

@@ -5,13 +5,13 @@ namespace simas::par {
 bool GraphCache::find(const std::string& scope, const std::string& name,
                       CapturedGraph* out) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key(scope, name));
-  if (it == map_.end()) {
+  const CapturedGraph* graph = map_.find(key(scope, name));
+  if (graph == nullptr) {
     stats_.misses++;
     return false;
   }
   stats_.hits++;
-  *out = *it->second;
+  *out = *graph;
   return true;
 }
 
@@ -19,20 +19,16 @@ bool GraphCache::publish(const std::string& scope,
                          const CapturedGraph& graph) {
   if (!graph.captured()) return false;
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto [it, inserted] =
-      map_.try_emplace(key(scope, graph.name()), nullptr);
-  if (!inserted) {
-    stats_.duplicates++;
-    return false;
-  }
-  it->second = std::make_unique<CapturedGraph>(graph);
-  stats_.publishes++;
-  return true;
+  const bool inserted = map_.try_emplace(key(scope, graph.name()), graph).second;
+  (inserted ? stats_.publishes : stats_.duplicates)++;
+  return inserted;
 }
 
 GraphCache::Stats GraphCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats s = stats_;
+  s.evictions = map_.evictions();
+  return s;
 }
 
 }  // namespace simas::par

@@ -15,24 +15,32 @@
 // cache mutex and hand out no reference to the stored entry — the engine
 // then owns its copy and mutates it freely (invalidation on divergence
 // stays engine-local and never poisons the cache).
+//
+// The cache holds at most kCapacity graphs: a stream of fresh shapes (each
+// ensemble miss captures a dozen) would otherwise grow it without bound.
+// Publishing past capacity evicts the least-recently-used graph; a find()
+// hit counts as a use, so the shapes a server keeps serving stay cached.
 
-#include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "par/stream.hpp"
+#include "util/lru_map.hpp"
 #include "util/types.hpp"
 
 namespace simas::par {
 
 class GraphCache {
  public:
+  /// Ten shapes of two ranks with six graph scopes each, and room to spare.
+  static constexpr std::size_t kCapacity = 128;
+
   struct Stats {
     i64 hits = 0;       ///< lookups that found a captured graph
     i64 misses = 0;     ///< lookups that found nothing
     i64 publishes = 0;  ///< graphs stored
     i64 duplicates = 0; ///< publishes dropped (first-wins)
+    i64 evictions = 0;  ///< least-recently-used graphs dropped
   };
 
   /// Copy the captured graph for (scope, name) into `*out` under the
@@ -52,8 +60,8 @@ class GraphCache {
   }
 
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::unique_ptr<CapturedGraph>> map_;
-  Stats stats_;
+  LruMap<std::string, CapturedGraph> map_{kCapacity};
+  Stats stats_;  ///< evictions are read from map_
 };
 
 }  // namespace simas::par

@@ -62,10 +62,10 @@ struct EngineConfig {
   /// code did not have).
   double wrapper_init_overhead = 0.0;
   /// Validate the op stream live: the StreamChecker's op-level checks
-  /// (coherence, async queue, fusion chains) plus the shadow Validator's
-  /// element checks (access lists, DC legality, in-flight ghosts). Also
-  /// enabled by the SIMAS_VALIDATE environment variable. Validation never
-  /// changes modeled time.
+  /// (coherence, async queue, fusion chains) plus, in the SIMAS_SHADOW
+  /// build flavour, the shadow Validator's element checks (access lists,
+  /// DC legality, in-flight ghosts). Also enabled by the SIMAS_VALIDATE
+  /// environment variable. Validation never changes modeled time.
   bool validate = false;
   /// Abort at Engine teardown if the validator recorded any errors
   /// (SIMAS_VALIDATE_FATAL). Reports drained via take_validation_report()

@@ -37,14 +37,13 @@ u64 FieldCache::key_for(const bench_support::ExperimentConfig& cfg) {
 std::shared_ptr<const bench_support::BoundaryFields> FieldCache::find(
     u64 key) {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (it == map_.end()) {
+  const auto* entry = map_.find(key);
+  if (entry == nullptr) {
     stats_.misses++;
     return nullptr;
   }
   stats_.hits++;
-  lru_.splice(lru_.begin(), lru_, it->second.lru);
-  return it->second.fields;
+  return *entry;
 }
 
 std::shared_ptr<const bench_support::BoundaryFields> FieldCache::insert(
@@ -52,19 +51,9 @@ std::shared_ptr<const bench_support::BoundaryFields> FieldCache::insert(
   auto entry = std::make_shared<const bench_support::BoundaryFields>(
       std::move(fields));
   std::lock_guard<std::mutex> lock(mutex_);
-  if (const auto it = map_.find(key); it != map_.end()) {
-    stats_.duplicates++;
-    return it->second.fields;
-  }
-  if (map_.size() >= kCapacity) {
-    map_.erase(lru_.back());
-    lru_.pop_back();
-    stats_.evictions++;
-  }
-  lru_.push_front(key);
-  map_.emplace(key, Entry{entry, lru_.begin()});
-  stats_.inserts++;
-  return entry;
+  const auto [stored, inserted] = map_.try_emplace(key, std::move(entry));
+  (inserted ? stats_.inserts : stats_.duplicates)++;
+  return *stored;
 }
 
 std::size_t FieldCache::size() const {
@@ -74,7 +63,9 @@ std::size_t FieldCache::size() const {
 
 FieldCache::Stats FieldCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  Stats s = stats_;
+  s.evictions = map_.evictions();
+  return s;
 }
 
 }  // namespace simas::service

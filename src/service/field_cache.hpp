@@ -15,12 +15,11 @@
 // seeds would otherwise grow it without bound. Inserting past capacity
 // evicts the least-recently-used entry; a find() hit counts as a use.
 
-#include <list>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 
 #include "bench_support/run_experiment.hpp"
+#include "util/lru_map.hpp"
 #include "util/types.hpp"
 
 namespace simas::service {
@@ -54,15 +53,10 @@ class FieldCache {
   Stats stats() const;
 
  private:
-  struct Entry {
-    std::shared_ptr<const bench_support::BoundaryFields> fields;
-    std::list<u64>::iterator lru;  ///< position in lru_
-  };
-
   mutable std::mutex mutex_;
-  std::unordered_map<u64, Entry> map_;
-  std::list<u64> lru_;  ///< keys, most recently used first
-  Stats stats_;
+  LruMap<u64, std::shared_ptr<const bench_support::BoundaryFields>> map_{
+      kCapacity};
+  Stats stats_;  ///< evictions are read from map_
 };
 
 }  // namespace simas::service

@@ -228,6 +228,7 @@ telemetry::MetricsSnapshot JobServer::metrics() {
   registry_.counter("graph_cache.hits").set(gc.hits);
   registry_.counter("graph_cache.misses").set(gc.misses);
   registry_.counter("graph_cache.publishes").set(gc.publishes);
+  registry_.counter("graph_cache.evictions").set(gc.evictions);
   const AdmissionQueue::Stats qs = queue_.stats();
   registry_.counter("queue.accepted").set(qs.accepted);
   registry_.counter("queue.rejected").set(qs.rejected);

@@ -1,8 +1,11 @@
 #include "telemetry/metrics.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <ostream>
+#include <set>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "util/json.hpp"
 
@@ -17,9 +20,37 @@ const char* metric_kind_name(MetricKind k) {
   return "?";
 }
 
+namespace {
+
+/// Never destroyed: snapshots may outlive static destruction.
+struct InternTable {
+  std::mutex mutex;
+  std::unordered_set<std::string> names;  ///< node-based: entries never move
+  std::set<std::vector<double>> bounds;
+};
+
+InternTable& intern_table() {
+  static InternTable* table = new InternTable;
+  return *table;
+}
+
+}  // namespace
+
+std::string_view intern_metric_name(std::string_view name) {
+  InternTable& t = intern_table();
+  std::lock_guard<std::mutex> lock(t.mutex);
+  return *t.names.emplace(name).first;
+}
+
+std::span<const double> intern_bounds(std::span<const double> bounds) {
+  InternTable& t = intern_table();
+  std::lock_guard<std::mutex> lock(t.mutex);
+  return *t.bounds.emplace(bounds.begin(), bounds.end()).first;
+}
+
 u32 Registry::lookup_or_add(std::string_view name, MetricKind kind,
                             Merge merge) {
-  const auto it = index_.find(std::string(name));
+  const auto it = index_.find(name);
   if (it != index_.end()) {
     const MetricInfo& info = metrics_[it->second];
     if (info.kind != kind)
@@ -29,12 +60,12 @@ u32 Registry::lookup_or_add(std::string_view name, MetricKind kind,
     return it->second;
   }
   MetricInfo info;
-  info.name = std::string(name);
+  info.name = intern_metric_name(name);
   info.kind = kind;
   info.merge = merge;
   const u32 idx = static_cast<u32>(metrics_.size());
-  metrics_.push_back(std::move(info));
-  index_.emplace(std::string(name), idx);
+  metrics_.push_back(info);
+  index_.emplace(info.name, idx);
   return idx;
 }
 
@@ -66,11 +97,9 @@ Histogram Registry::histogram(std::string_view name,
   const u32 idx = lookup_or_add(name, MetricKind::Histogram, Merge::Sum);
   MetricInfo& info = metrics_[idx];
   if (metrics_.size() > before) {
-    info.bounds_off = static_cast<u32>(hist_bounds_.size());
-    info.nbounds = static_cast<u32>(bounds.size());
+    info.bounds = intern_bounds(bounds);
     info.counts_off = static_cast<u32>(hist_counts_.size());
     info.slot = static_cast<u32>(hist_sums_.size());
-    hist_bounds_.insert(hist_bounds_.end(), bounds.begin(), bounds.end());
     hist_counts_.insert(hist_counts_.end(), bounds.size() + 1, 0);
     hist_sums_.push_back(0.0);
     hist_totals_.push_back(0);
@@ -94,16 +123,18 @@ MetricsSnapshot Registry::snapshot() const {
       case MetricKind::Gauge:
         s.value = gauge_slots_[info.slot];
         break;
-      case MetricKind::Histogram:
-        s.bounds.assign(hist_bounds_.begin() + info.bounds_off,
-                        hist_bounds_.begin() + info.bounds_off + info.nbounds);
-        s.buckets.assign(
+      case MetricKind::Histogram: {
+        auto h = std::make_shared<HistogramData>();
+        h->bounds = info.bounds;
+        h->buckets.assign(
             hist_counts_.begin() + info.counts_off,
-            hist_counts_.begin() + info.counts_off + info.nbounds + 1);
+            hist_counts_.begin() + info.counts_off + info.bounds.size() + 1);
+        h->max = hist_maxs_[info.slot];
+        s.hist = std::move(h);
         s.value = hist_sums_[info.slot];
         s.count = hist_totals_[info.slot];
-        s.max = hist_maxs_[info.slot];
         break;
+      }
     }
     snap.samples.push_back(std::move(s));
   }
@@ -153,17 +184,22 @@ void MetricsSnapshot::merge_from(const MetricsSnapshot& other) {
           case Merge::Min: mine->value = std::min(mine->value, o.value); break;
         }
         break;
-      case MetricKind::Histogram:
-        if (mine->bounds == o.bounds &&
-            mine->buckets.size() == o.buckets.size()) {
-          if (o.count > 0 && (mine->count == 0 || o.max > mine->max))
-            mine->max = o.max;
-          for (std::size_t i = 0; i < mine->buckets.size(); ++i)
-            mine->buckets[i] += o.buckets[i];
-          mine->count += o.count;
-          mine->value += o.value;
-        }
+      case MetricKind::Histogram: {
+        const HistogramData& theirs = *o.hist;
+        if (!std::ranges::equal(mine->hist->bounds, theirs.bounds) ||
+            mine->hist->buckets.size() != theirs.buckets.size())
+          break;
+        // The payload may be shared with other snapshots: merge a copy.
+        auto h = std::make_shared<HistogramData>(*mine->hist);
+        if (o.count > 0 && (mine->count == 0 || theirs.max > h->max))
+          h->max = theirs.max;
+        for (std::size_t i = 0; i < h->buckets.size(); ++i)
+          h->buckets[i] += theirs.buckets[i];
+        mine->hist = std::move(h);
+        mine->count += o.count;
+        mine->value += o.value;
         break;
+      }
     }
   }
 }
@@ -171,26 +207,28 @@ void MetricsSnapshot::merge_from(const MetricsSnapshot& other) {
 void MetricsSnapshot::write_json(std::ostream& os) const {
   json::Value metrics{json::Value::Object{}};
   for (const MetricSample& s : samples) {
+    const std::string name(s.name);
     switch (s.kind) {
       case MetricKind::Counter:
-        metrics.set(s.name, json::Value(static_cast<long long>(s.count)));
+        metrics.set(name, json::Value(static_cast<long long>(s.count)));
         break;
       case MetricKind::Gauge:
-        metrics.set(s.name, json::Value(s.value));
+        metrics.set(name, json::Value(s.value));
         break;
       case MetricKind::Histogram: {
         json::Value h{json::Value::Object{}};
         json::Value bounds{json::Value::Array{}};
-        for (const double b : s.bounds) bounds.push_back(json::Value(b));
+        for (const double b : s.hist->bounds)
+          bounds.push_back(json::Value(b));
         json::Value buckets{json::Value::Array{}};
-        for (const i64 c : s.buckets)
+        for (const i64 c : s.hist->buckets)
           buckets.push_back(json::Value(static_cast<long long>(c)));
         h.set("bounds", std::move(bounds));
         h.set("buckets", std::move(buckets));
         h.set("count", json::Value(static_cast<long long>(s.count)));
         h.set("sum", json::Value(s.value));
-        h.set("max", json::Value(s.max));
-        metrics.set(s.name, std::move(h));
+        h.set("max", json::Value(s.hist->max));
+        metrics.set(name, std::move(h));
         break;
       }
     }

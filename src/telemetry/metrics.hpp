@@ -23,6 +23,7 @@
 // Engine::metrics_snapshot(): read them from a snapshot.
 
 #include <iosfwd>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -90,21 +91,40 @@ class Histogram {
   u32 index_ = 0;  ///< metric index (not a slot; histograms need bounds)
 };
 
-/// One metric's value at snapshot time, self-describing enough to merge
-/// and export without the registry that produced it.
-struct MetricSample {
-  std::string name;
-  MetricKind kind = MetricKind::Counter;
-  Merge merge = Merge::Sum;
-  i64 count = 0;       ///< counter value, or histogram total sample count
-  double value = 0.0;  ///< gauge value, or histogram sample sum
-  /// Histogram: exact running max of every observed sample (meaningful
-  /// only when count > 0). Bucketed data alone flattens the tail — a
+/// Process-lifetime copy of a metric name: the returned view stays valid
+/// until exit. Equal names share one copy. Takes a mutex (registration
+/// path only).
+std::string_view intern_metric_name(std::string_view name);
+/// Process-lifetime copy of a histogram's bucket bounds, shared like
+/// intern_metric_name shares names.
+std::span<const double> intern_bounds(std::span<const double> bounds);
+
+/// A histogram sample's buckets. Immutable once built and shared by every
+/// copy of the snapshot that holds it (merge_from builds a new one), so
+/// copying a snapshot copies no buckets.
+struct HistogramData {
+  std::span<const double> bounds;  ///< interned upper bounds
+  std::vector<i64> buckets;  ///< bounds.size() + 1 entries (overflow last)
+  /// Exact running max of every observed sample (meaningful only when the
+  /// sample's count > 0). Bucketed data alone flattens the tail — a
   /// cold-start job landing in the overflow bucket reports "somewhere
   /// past the last edge"; the max pins it exactly.
   double max = 0.0;
-  std::vector<double> bounds;  ///< histogram upper bounds (empty otherwise)
-  std::vector<i64> buckets;    ///< bounds.size() + 1 entries (overflow last)
+};
+
+/// One metric's value at snapshot time, self-describing enough to merge
+/// and export without the registry that produced it. The name is a view
+/// into process-lifetime storage (interned at registration, or a string
+/// literal) and only histograms carry a payload, so a counter or gauge
+/// sample owns no heap: a served job keeps several snapshots until it is
+/// drained, and their size is per-job retained memory.
+struct MetricSample {
+  std::string_view name;  ///< interned or literal: never dangles
+  i64 count = 0;       ///< counter value, or histogram total sample count
+  double value = 0.0;  ///< gauge value, or histogram sample sum
+  std::shared_ptr<const HistogramData> hist;  ///< histograms only
+  MetricKind kind = MetricKind::Counter;
+  Merge merge = Merge::Sum;
 };
 
 struct MetricsSnapshot {
@@ -147,22 +167,20 @@ class Registry {
   friend class Histogram;
 
   struct MetricInfo {
-    std::string name;
+    std::string_view name;  ///< interned
     MetricKind kind;
     Merge merge;
     u32 slot = 0;        ///< index into the kind's slot vector
-    u32 bounds_off = 0;  ///< histogram: offset into hist_bounds_
-    u32 nbounds = 0;     ///< histogram: bound count (buckets = nbounds + 1)
     u32 counts_off = 0;  ///< histogram: offset into hist_counts_
+    std::span<const double> bounds;  ///< histogram: interned bounds
   };
 
   u32 lookup_or_add(std::string_view name, MetricKind kind, Merge merge);
 
   std::vector<MetricInfo> metrics_;  ///< registration order
-  std::unordered_map<std::string, u32> index_;
+  std::unordered_map<std::string_view, u32> index_;  ///< by interned name
   std::vector<i64> counter_slots_;
   std::vector<double> gauge_slots_;
-  std::vector<double> hist_bounds_;  ///< flattened per-histogram bounds
   std::vector<i64> hist_counts_;     ///< flattened per-histogram buckets
   std::vector<double> hist_sums_;    ///< per-histogram sample sum
   std::vector<i64> hist_totals_;     ///< per-histogram sample count
@@ -191,9 +209,8 @@ inline double Gauge::value() const {
 inline void Histogram::observe(double v) {
   if (reg_ == nullptr) return;
   const auto& info = reg_->metrics_[index_];
-  const double* bounds = reg_->hist_bounds_.data() + info.bounds_off;
-  u32 b = 0;
-  while (b < info.nbounds && v > bounds[b]) ++b;
+  std::size_t b = 0;
+  while (b < info.bounds.size() && v > info.bounds[b]) ++b;
   reg_->hist_counts_[info.counts_off + b] += 1;
   reg_->hist_sums_[info.slot] += v;
   if (reg_->hist_totals_[info.slot] == 0 || v > reg_->hist_maxs_[info.slot])

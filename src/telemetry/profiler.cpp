@@ -8,33 +8,31 @@
 
 namespace simas::telemetry {
 
+const std::string& SiteProfileRow::name() const {
+  static const std::string none;
+  return site != nullptr ? site->name : none;
+}
+
+const char* SiteProfileRow::kind() const {
+  return site != nullptr ? par::site_kind_name(site->kind) : "";
+}
+
 SiteProfileSnapshot SiteProfiler::snapshot() const {
   SiteProfileSnapshot snap;
-  for (const Entry& e : entries_) {
-    if (e.site == nullptr) continue;
-    SiteProfileRow row;
-    row.name = e.site->name;
-    row.kind = par::site_kind_name(e.site->kind);
-    row.launches = e.launches;
-    row.fused = e.fused;
-    row.reductions = e.reductions;
-    row.cells = e.cells;
-    row.bytes = e.bytes;
-    row.seconds = e.seconds;
-    snap.rows.push_back(std::move(row));
-  }
+  for (const SiteProfileRow& r : rows_)
+    if (r.site != nullptr) snap.rows.push_back(r);
   return snap;
 }
 
 SiteProfileRow SiteProfiler::totals() const {
   SiteProfileRow sum;
-  for (const Entry& e : entries_) {
-    sum.launches += e.launches;
-    sum.fused += e.fused;
-    sum.reductions += e.reductions;
-    sum.cells += e.cells;
-    sum.bytes += e.bytes;
-    sum.seconds += e.seconds;
+  for (const SiteProfileRow& r : rows_) {
+    sum.launches += r.launches;
+    sum.fused += r.fused;
+    sum.reductions += r.reductions;
+    sum.cells += r.cells;
+    sum.bytes += r.bytes;
+    sum.seconds += r.seconds;
   }
   return sum;
 }
@@ -49,7 +47,7 @@ void SiteProfileSnapshot::merge_from(const SiteProfileSnapshot& other) {
   for (const SiteProfileRow& o : other.rows) {
     SiteProfileRow* mine = nullptr;
     for (SiteProfileRow& r : rows)
-      if (r.name == o.name) {
+      if (r.name() == o.name()) {
         mine = &r;
         break;
       }
@@ -72,7 +70,7 @@ std::vector<SiteProfileRow> SiteProfileSnapshot::top_by_seconds(
   std::sort(sorted.begin(), sorted.end(),
             [](const SiteProfileRow& a, const SiteProfileRow& b) {
               if (a.seconds != b.seconds) return a.seconds > b.seconds;
-              return a.name < b.name;
+              return a.name() < b.name();
             });
   if (sorted.size() > n) sorted.resize(n);
   return sorted;
@@ -86,8 +84,8 @@ void SiteProfileSnapshot::print(std::ostream& os, std::size_t top_n) const {
                     "seconds", "%"});
   for (const SiteProfileRow& r : top_by_seconds(top_n)) {
     table.row()
-        .cell(r.name)
-        .cell(r.kind)
+        .cell(r.name())
+        .cell(r.kind())
         .cell(r.launches)
         .cell(r.fused)
         .cell(static_cast<double>(r.cells) * 1e-6, 2)
@@ -102,8 +100,8 @@ void SiteProfileSnapshot::write_json(std::ostream& os) const {
   json::Value arr{json::Value::Array{}};
   for (const SiteProfileRow& r : top_by_seconds(rows.size())) {
     json::Value row{json::Value::Object{}};
-    row.set("site", json::Value(r.name));
-    row.set("kind", json::Value(r.kind));
+    row.set("site", json::Value(r.name()));
+    row.set("kind", json::Value(r.kind()));
     row.set("launches", json::Value(static_cast<long long>(r.launches)));
     row.set("fused", json::Value(static_cast<long long>(r.fused)));
     row.set("cells", json::Value(static_cast<long long>(r.cells)));

@@ -25,14 +25,17 @@
 namespace simas::telemetry {
 
 struct SiteProfileRow {
-  std::string name;
-  std::string kind;
+  /// The interned call site (process lifetime); null in totals().
+  const par::KernelSite* site = nullptr;
   i64 launches = 0;   ///< launches issued for this site (fused ones excluded)
   i64 fused = 0;      ///< loops merged into a preceding launch
   i64 reductions = 0; ///< scalar and array reductions (counted in launches)
   i64 cells = 0;      ///< logical iteration-space cells executed
   i64 bytes = 0;      ///< logical bytes touched (run scale)
   double seconds = 0.0;  ///< modeled seconds charged (launch + traffic)
+
+  const std::string& name() const;
+  const char* kind() const;
 };
 
 struct SiteProfileSnapshot {
@@ -58,8 +61,8 @@ class SiteProfiler {
   void record(const par::KernelSite& site, double seconds, i64 cells,
               i64 bytes, bool fused, bool reduction) {
     const std::size_t id = static_cast<std::size_t>(site.id);
-    if (id >= entries_.size()) entries_.resize(id + 1);
-    Entry& e = entries_[id];
+    if (id >= rows_.size()) rows_.resize(id + 1);
+    SiteProfileRow& e = rows_[id];
     e.site = &site;
     if (fused)
       e.fused++;
@@ -72,16 +75,11 @@ class SiteProfiler {
   }
 
   SiteProfileSnapshot snapshot() const;
-  /// Every count summed over all sites (name and kind left empty).
+  /// Every count summed over all sites (no site).
   SiteProfileRow totals() const;
 
  private:
-  struct Entry {
-    const par::KernelSite* site = nullptr;  ///< null = id never seen
-    i64 launches = 0, fused = 0, reductions = 0, cells = 0, bytes = 0;
-    double seconds = 0.0;
-  };
-  std::vector<Entry> entries_;  ///< indexed by KernelSite::id
+  std::vector<SiteProfileRow> rows_;  ///< by KernelSite::id; null = unseen
 };
 
 }  // namespace simas::telemetry

@@ -43,12 +43,13 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snap) {
         break;
       case MetricKind::Histogram: {
         os << "# TYPE " << name << " histogram\n";
+        const HistogramData& h = *s.hist;
         i64 cumulative = 0;
-        for (std::size_t i = 0; i < s.buckets.size(); ++i) {
-          cumulative += s.buckets[i];
+        for (std::size_t i = 0; i < h.buckets.size(); ++i) {
+          cumulative += h.buckets[i];
           os << name << "_bucket{le=\"";
-          if (i < s.bounds.size())
-            os << fmt(s.bounds[i]);
+          if (i < h.bounds.size())
+            os << fmt(h.bounds[i]);
           else
             os << "+Inf";
           os << "\"} " << cumulative << "\n";
@@ -58,7 +59,7 @@ void write_prometheus(std::ostream& os, const MetricsSnapshot& snap) {
         // The exact running max rides along as a companion gauge: the
         // overflow bucket says "past the last edge", the max says where.
         os << "# TYPE " << name << "_max gauge\n";
-        os << name << "_max " << fmt(s.max) << "\n";
+        os << name << "_max " << fmt(h.max) << "\n";
         break;
       }
     }

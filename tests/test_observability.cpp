@@ -388,12 +388,12 @@ TEST(ObservabilityRegistry, HistogramTracksExactMaxAndCustomBounds) {
   const auto snap = reg.snapshot();
   const telemetry::MetricSample* s = snap.find("obs.latency");
   ASSERT_NE(s, nullptr);
-  ASSERT_EQ(s->bounds.size(), 3u);
-  EXPECT_EQ(s->bounds[2], 4.0);
-  ASSERT_EQ(s->buckets.size(), 4u);
-  EXPECT_EQ(s->buckets[3], 1);  // the tail sample
+  ASSERT_EQ(s->hist->bounds.size(), 3u);
+  EXPECT_EQ(s->hist->bounds[2], 4.0);
+  ASSERT_EQ(s->hist->buckets.size(), 4u);
+  EXPECT_EQ(s->hist->buckets[3], 1);  // the tail sample
   EXPECT_EQ(s->count, 3);
-  EXPECT_EQ(s->max, 25.0);
+  EXPECT_EQ(s->hist->max, 25.0);
 }
 
 TEST(ObservabilityRegistry, MergeKeepsTheLargestObservedMax) {
@@ -408,7 +408,7 @@ TEST(ObservabilityRegistry, MergeKeepsTheLargestObservedMax) {
   const telemetry::MetricSample* s = snap.find("m");
   ASSERT_NE(s, nullptr);
   EXPECT_EQ(s->count, 2);
-  EXPECT_EQ(s->max, 9.0);
+  EXPECT_EQ(s->hist->max, 9.0);
 }
 
 TEST(ObservabilityRegistry, SnapshotWhileWritingUnderTheServerDiscipline) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "par/engine.hpp"
@@ -373,6 +375,39 @@ TEST(Engine, SteadyStateLaunchPathIsAllocationFree) {
   EXPECT_EQ(g_heap_allocs.load(std::memory_order_relaxed), before)
       << "kernel launch / reduction steady state must not heap-allocate";
   (void)sink;
+}
+
+TEST(Engine, PlainBuildSaysOnceThatElementChecksAreMissing) {
+  // The notice is printed once per process, so the engines run in a
+  // freshly started child. A plain build must print it exactly once for
+  // two validating engines; the SIMAS_SHADOW flavour runs the element
+  // checks and must not print it at all.
+#ifdef SIMAS_SHADOW
+  constexpr std::size_t kExpected = 0;
+#else
+  constexpr std::size_t kExpected = 1;
+#endif
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        const SimContext ctx{EnvConfig{}};
+        EngineConfig cfg;
+        cfg.validate = true;
+        cfg.host_threads = 1;
+        cfg.ctx = &ctx;
+        ::testing::internal::CaptureStderr();
+        { Engine a(cfg); }
+        { Engine b(cfg); }
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        const std::string line = Engine::kElementChecksMissing;
+        std::size_t n = 0;
+        for (auto at = err.find(line); at != std::string::npos;
+             at = err.find(line, at + line.size()))
+          ++n;
+        std::fprintf(stderr, "notices=%zu\n%s", n, err.c_str());
+        std::exit(n == kExpected ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "notices=");
 }
 
 }  // namespace

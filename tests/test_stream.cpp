@@ -452,5 +452,37 @@ TEST(GraphReplay, CacheSharesCapturesWithinOneScopeOnly) {
   EXPECT_EQ(st.duplicates, 0);
 }
 
+TEST(GraphCache, FullCacheEvictsTheLeastRecentlyUsedScope) {
+  GraphCache cache;
+  const auto scope = [](std::size_t i) { return "shape" + std::to_string(i); };
+  CapturedGraph graph("pcg");
+  graph.begin_capture();
+  graph.finalize();
+  const std::size_t n = GraphCache::kCapacity;
+  for (std::size_t i = 0; i < n; ++i)
+    ASSERT_TRUE(cache.publish(scope(i), graph));
+  EXPECT_EQ(cache.stats().evictions, 0);
+
+  // A hit makes the oldest scope the most recently used, so scope 1 is
+  // now the stalest and the N+1-th scope pushes it out.
+  CapturedGraph out("");
+  ASSERT_TRUE(cache.find(scope(0), "pcg", &out));
+  EXPECT_EQ(out.name(), "pcg");
+  EXPECT_TRUE(out.captured());
+  ASSERT_TRUE(cache.publish(scope(n), graph));
+
+  const GraphCache::Stats st = cache.stats();
+  EXPECT_EQ(st.evictions, 1);
+  EXPECT_EQ(st.publishes, static_cast<i64>(n) + 1);
+  EXPECT_TRUE(cache.find(scope(0), "pcg", &out));
+  EXPECT_FALSE(cache.find(scope(1), "pcg", &out));
+  EXPECT_TRUE(cache.find(scope(2), "pcg", &out));
+  EXPECT_TRUE(cache.find(scope(n), "pcg", &out));
+  // A duplicate publish keeps the stored graph and evicts nothing.
+  EXPECT_FALSE(cache.publish(scope(n), graph));
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_EQ(cache.stats().duplicates, 1);
+}
+
 }  // namespace
 }  // namespace simas::par

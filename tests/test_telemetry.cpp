@@ -82,11 +82,11 @@ TEST(Registry, HistogramBucketsAndOverflow) {
   const MetricsSnapshot snap = reg.snapshot();
   const telemetry::MetricSample* s = snap.find("cells");
   ASSERT_NE(s, nullptr);
-  ASSERT_EQ(s->buckets.size(), 4u);
-  EXPECT_EQ(s->buckets[0], 2);
-  EXPECT_EQ(s->buckets[1], 1);
-  EXPECT_EQ(s->buckets[2], 0);
-  EXPECT_EQ(s->buckets[3], 1);
+  ASSERT_EQ(s->hist->buckets.size(), 4u);
+  EXPECT_EQ(s->hist->buckets[0], 2);
+  EXPECT_EQ(s->hist->buckets[1], 1);
+  EXPECT_EQ(s->hist->buckets[2], 0);
+  EXPECT_EQ(s->hist->buckets[3], 1);
   EXPECT_EQ(s->count, 4);
   EXPECT_DOUBLE_EQ(s->value, 0.5 + 1.0 + 5.0 + 1000.0);
 }
@@ -115,8 +115,8 @@ TEST(Snapshot, MergeAppliesPerMetricPolicy) {
   EXPECT_EQ(merged.counter("only_b"), 4);  // unknown metrics are appended
   const telemetry::MetricSample* h = merged.find("h");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->buckets[0], 1);
-  EXPECT_EQ(h->buckets[1], 1);
+  EXPECT_EQ(h->hist->buckets[0], 1);
+  EXPECT_EQ(h->hist->buckets[1], 1);
   EXPECT_EQ(h->count, 2);
 }
 
@@ -374,8 +374,8 @@ TEST(Profiler, AggregatesPerSiteAndRanks) {
 
   const auto top = snap.top_by_seconds(1);
   ASSERT_EQ(top.size(), 1u);
-  EXPECT_EQ(top[0].name, "test_prof_b");
-  EXPECT_EQ(top[0].kind, "scalar_reduction");
+  EXPECT_EQ(top[0].name(), "test_prof_b");
+  EXPECT_STREQ(top[0].kind(), "scalar_reduction");
 
   // Merging another rank's identical profile doubles every column of
   // the matched row.
@@ -385,7 +385,7 @@ TEST(Profiler, AggregatesPerSiteAndRanks) {
   ASSERT_EQ(snap.rows.size(), 2u);
   const telemetry::SiteProfileRow* merged_a = nullptr;
   for (const telemetry::SiteProfileRow& r : snap.rows)
-    if (r.name == "test_prof_a") merged_a = &r;
+    if (r.name() == "test_prof_a") merged_a = &r;
   ASSERT_NE(merged_a, nullptr);
   EXPECT_EQ(merged_a->launches, 2);
   EXPECT_EQ(merged_a->fused, 2);
@@ -463,15 +463,15 @@ TEST(Engine, RegistryCountersAndProfilerSeeLaunches) {
     fused += row.fused;
     reductions += row.reductions;
     bytes += row.bytes;
-    if (row.name == "test_metrics_kernel") {
+    if (row.name() == "test_metrics_kernel") {
       EXPECT_EQ(row.launches, 3);
       EXPECT_EQ(row.cells, 3 * 8 * 8 * 8);
       site_seconds = row.seconds;
-    } else if (row.name == "test_metrics_pair_b") {
+    } else if (row.name() == "test_metrics_pair_b") {
       EXPECT_EQ(row.launches, 0);
       EXPECT_EQ(row.fused, 1);
-    } else if (row.name == "test_metrics_dot" ||
-               row.name == "test_metrics_hist") {
+    } else if (row.name() == "test_metrics_dot" ||
+               row.name() == "test_metrics_hist") {
       EXPECT_EQ(row.launches, 1);
       EXPECT_EQ(row.reductions, 1);
     }
