@@ -32,7 +32,7 @@
 //   bench_host_exec [--threads=1,2,4,8] [--versions=A,D2XU] [--steps=3]
 //                   [--warmup=1] [--triad-iters=200] [--repeats=3]
 //                   [--flight-overhead-max=0.01]
-//                   [--out=BENCH_host_exec.json]
+//                   [--out=BENCH_host_exec.json] [--help]
 //
 // Every measurement is repeated --repeats times and the minimum is kept
 // (wall-clock noise is one-sided).
@@ -71,7 +71,21 @@ struct Options {
   int repeats = 3;
   double flight_overhead_max = 0.01;
   std::string out = "BENCH_host_exec.json";
+  bool help = false;
 };
+
+constexpr const char* kUsage =
+    "usage: bench_host_exec [options]\n"
+    "  --threads=1,2,4,8          host thread counts to sweep\n"
+    "  --versions=A,D2XU          code version tags for the solver sweep\n"
+    "  --steps=3                  timed solver steps per point\n"
+    "  --warmup=1                 untimed solver steps per point\n"
+    "  --triad-iters=200          triad loop iterations per repeat\n"
+    "  --repeats=3                repeats per measurement (minimum kept)\n"
+    "  --flight-overhead-max=0.01 fail if one flight record costs more\n"
+    "                             than this fraction of a dispatch\n"
+    "  --out=BENCH_host_exec.json results file\n"
+    "  --help, -h                 print this text and exit\n";
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> parts;
@@ -130,8 +144,10 @@ bool parse_args(int argc, char** argv, Options* opt) {
       opt->flight_overhead_max = std::stod(v8);
     } else if (const char* v7 = value("--out=")) {
       opt->out = v7;
+    } else if (arg == "--help" || arg == "-h") {
+      opt->help = true;
     } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
+      std::fprintf(stderr, "unknown argument: %s\n%s", arg.c_str(), kUsage);
       return false;
     }
   }
@@ -412,6 +428,10 @@ std::vector<DispatchPoint> run_dispatch(int threads, const Options& opt) {
 int main(int argc, char** argv) {
   Options opt;
   if (!parse_args(argc, argv, &opt)) return 2;
+  if (opt.help) {
+    std::fputs(kUsage, stdout);
+    return 0;
+  }
 
   std::vector<SolverPoint> solver_points;
   const std::pair<const char*, grid::GridConfig> solver_workloads[] = {

@@ -44,6 +44,7 @@ LocalGrid::LocalGrid(const SphericalGrid& g, const mpisim::Slab& slab)
   area_r_.resize(n);
   area_t_.resize(n);
   flux_p_.resize(n);
+  width_sq_.resize(n);
   for (idx j = 0; j <= nt; ++j) {
     const real ctj0 = std::cos(tf(j)), ctj1 = std::cos(tf(j + 1));
     for (idx i = 0; i <= nloc_; ++i) {
@@ -53,6 +54,8 @@ LocalGrid::LocalGrid(const SphericalGrid& g, const mpisim::Slab& slab)
       area_r_[e] = sq(rf(i)) * (ctj0 - ctj1) * dph;
       area_t_[e] = alin(i) * stf(j) * dph;
       flux_p_[e] = alin(i) * dtc(j) / (rc(i) * stc(j) * dph);
+      width_sq_[e] = sq(std::min(
+          drc(i), std::min(rc(i) * dtc(j), rc(i) * stc(j) * dph)));
     }
   }
 }

@@ -64,6 +64,9 @@ class LocalGrid {
   real area_t(idx i, idx j) const { return area_t_[m(i, j)]; }
   /// φ-face flux factor alin · dθ / (rc sinθ dφ) of cell (i, j).
   real flux_p(idx i, idx j) const { return flux_p_[m(i, j)]; }
+  /// Squared smallest width min(dr, r dθ, r sinθ dφ)² of cell (i, j): the
+  /// stencil scale of the Jacobi preconditioners.
+  real width_sq(idx i, idx j) const { return width_sq_[m(i, j)]; }
 
  private:
   /// One (nloc+1) x (nt+1) layout for every table, i fastest.
@@ -86,7 +89,7 @@ class LocalGrid {
   mpisim::Slab slab_;
   idx nloc_;
   std::vector<real> rc_, drc_, rf_, drf_, alin_, cot_;
-  std::vector<real> vol_, area_r_, area_t_, flux_p_;
+  std::vector<real> vol_, area_r_, area_t_, flux_p_, width_sq_;
 };
 
 }  // namespace simas::grid

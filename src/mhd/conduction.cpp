@@ -185,12 +185,9 @@ int conduction_update(MhdContext& c, real dt) {
                    [&, dt, gm1](idx i, idx j, idx k) {
                      // Cheap diagonal estimate: mass term plus the κ-scaled
                      // stencil magnitude.
-                     const real h = std::min(
-                         lg.drc(i),
-                         std::min(lg.rc(i) * lg.dtc(j),
-                                  lg.rc(i) * lg.stc(j) * lg.dph()));
                      const real diag = st.rho(i, j, k) / gm1 +
-                                       dt * 6.0 * st.wrk2(i, j, k) / sq(h);
+                                       dt * 6.0 * st.wrk2(i, j, k) /
+                                           lg.width_sq(i, j);
                      z(i, j, k) = r(i, j, k) / diag;
                    });
   };

@@ -114,11 +114,7 @@ PfssResult pfss_initialize(MhdContext& c, const SurfaceBrFn& surface_br,
     c.eng.for_each(site_pc, par::Range3{0, nloc, 0, nt, 0, np},
                    {par::in(r.id()), par::out(z.id())},
                    [&](idx i, idx j, idx k) {
-                     const real h = std::min(
-                         lg.drc(i),
-                         std::min(lg.rc(i) * lg.dtc(j),
-                                  lg.rc(i) * lg.stc(j) * lg.dph()));
-                     z(i, j, k) = r(i, j, k) * sq(h) / 6.0;
+                     z(i, j, k) = r(i, j, k) * lg.width_sq(i, j) / 6.0;
                    });
   };
 
